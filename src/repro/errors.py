@@ -252,7 +252,8 @@ class SpoolCorruption(ServiceError):
 
     Raised by :func:`repro.service.spool.spool_decode` for truncated
     files, checksum mismatches, and unsupported envelope versions; the
-    fleet catches it and falls back to the previous spool generation.
+    fleet catches it, deletes the file, and rebuilds the session from
+    its admission spec by replaying the whole slice journal.
     """
 
 

@@ -11,9 +11,20 @@ and adds nothing to the fast path when disabled.
 """
 
 from .injector import EccFilter, FaultInjector
-from .plan import FaultConfig, FaultEvent, FaultKind, FaultRecord, InjectionPlan
+from .plan import (
+    Draw,
+    FaultConfig,
+    FaultEvent,
+    FaultKind,
+    FaultRecord,
+    InjectionPlan,
+    Lcg,
+    SeededPlan,
+    seeded_schedule,
+)
 
 __all__ = [
+    "Draw",
     "EccFilter",
     "FaultConfig",
     "FaultEvent",
@@ -21,4 +32,7 @@ __all__ = [
     "FaultKind",
     "FaultRecord",
     "InjectionPlan",
+    "Lcg",
+    "SeededPlan",
+    "seeded_schedule",
 ]

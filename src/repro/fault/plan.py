@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from ..errors import ConfigError
 
@@ -140,7 +140,7 @@ class FaultConfig:
         )
 
 
-class _Lcg:
+class Lcg:
     """The repo's usual deterministic pseudo-random source."""
 
     def __init__(self, seed: int) -> None:
@@ -151,46 +151,66 @@ class _Lcg:
         return (self.state >> 8) % bound
 
 
-class InjectionPlan:
-    """A realized schedule of fault events, grouped by component."""
+@dataclass(frozen=True)
+class Draw:
+    """``count`` events of one ``kind`` for :func:`seeded_schedule`.
 
-    def __init__(self, events: Sequence[FaultEvent] = ()) -> None:
-        self.events: Tuple[FaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.cycle, e.kind.value, e.arg))
-        )
+    Each event's index falls in ``[first, last]``; its arg is drawn
+    from ``[0, arg_bound)`` when ``arg_bound`` is nonzero, else it is
+    the fixed ``arg``.
+    """
+
+    kind: Any
+    count: int
+    first: int
+    last: int
+    arg: int = 0
+    arg_bound: int = 0
+
+
+def seeded_schedule(seed: int, draws: Iterable[Draw]) -> List[Tuple[int, Any, int]]:
+    """Expand *draws*, in order, into ``(index, kind, arg)`` triples.
+
+    One :class:`Lcg` seeded with *seed* serves every draw: each event
+    takes its index first, then (if drawn) its arg.  That order is part
+    of every seeded plan -- the machine-level :class:`InjectionPlan` and
+    the service-level ``ServiceFaultPlan`` -- so changing it changes
+    every recorded storm.
+    """
+    rng = Lcg(seed)
+    out: List[Tuple[int, Any, int]] = []
+    for draw in draws:
+        span = draw.last - draw.first + 1
+        for _ in range(draw.count):
+            index = draw.first + rng.next(span)
+            arg = rng.next(draw.arg_bound) if draw.arg_bound else draw.arg
+            out.append((index, draw.kind, arg))
+    return out
+
+
+class SeededPlan:
+    """A realized schedule of events, sorted and grouped by channel.
+
+    Events sort by (index, kind, arg).  Subclasses name the event
+    attribute holding the index (``_index``) and the one naming the
+    consuming channel (``_channel``).
+    """
+
+    _index: str
+    _channel: str
+
+    def __init__(self, events: Iterable[Any] = ()) -> None:
+        self.events: Tuple[Any, ...] = tuple(sorted(
+            events, key=lambda e: (getattr(e, self._index), e.kind.value, e.arg)
+        ))
 
     @classmethod
-    def empty(cls) -> "InjectionPlan":
+    def empty(cls):
         return cls(())
 
-    @classmethod
-    def from_config(cls, config: FaultConfig) -> "InjectionPlan":
-        rng = _Lcg(config.seed)
-        span = config.last_cycle - config.first_cycle + 1
-        events: List[FaultEvent] = []
-
-        def cycle() -> int:
-            return config.first_cycle + rng.next(span)
-
-        for _ in range(config.storage_correctable):
-            events.append(FaultEvent(cycle(), FaultKind.ECC_CORRECTABLE, rng.next(1 << 12)))
-        for _ in range(config.storage_uncorrectable):
-            events.append(FaultEvent(cycle(), FaultKind.ECC_UNCORRECTABLE, rng.next(1 << 12)))
-        for _ in range(config.map_faults):
-            events.append(FaultEvent(cycle(), FaultKind.MAP))
-        for _ in range(config.write_protect_faults):
-            events.append(FaultEvent(cycle(), FaultKind.WRITE_PROTECT))
-        for _ in range(config.bounds_faults):
-            events.append(FaultEvent(cycle(), FaultKind.BOUNDS))
-        for _ in range(config.disk_errors):
-            events.append(
-                FaultEvent(cycle(), FaultKind.DISK_TRANSFER, config.disk_error_persistence)
-            )
-        return cls(events)
-
-    def schedule(self, component: str) -> List[FaultEvent]:
-        """The component's events, earliest first."""
-        return [e for e in self.events if e.component == component]
+    def schedule(self, channel: str) -> List[Any]:
+        """The channel's events, earliest first."""
+        return [e for e in self.events if getattr(e, self._channel) == channel]
 
     def __len__(self) -> int:
         return len(self.events)
@@ -198,3 +218,26 @@ class InjectionPlan:
     @property
     def is_empty(self) -> bool:
         return not self.events
+
+
+class InjectionPlan(SeededPlan):
+    """A realized schedule of fault events, grouped by component."""
+
+    _index = "cycle"
+    _channel = "component"
+
+    @classmethod
+    def from_config(cls, config: FaultConfig) -> "InjectionPlan":
+        window = (config.first_cycle, config.last_cycle)
+        events = seeded_schedule(config.seed, [
+            Draw(FaultKind.ECC_CORRECTABLE, config.storage_correctable,
+                 *window, arg_bound=1 << 12),
+            Draw(FaultKind.ECC_UNCORRECTABLE, config.storage_uncorrectable,
+                 *window, arg_bound=1 << 12),
+            Draw(FaultKind.MAP, config.map_faults, *window),
+            Draw(FaultKind.WRITE_PROTECT, config.write_protect_faults, *window),
+            Draw(FaultKind.BOUNDS, config.bounds_faults, *window),
+            Draw(FaultKind.DISK_TRANSFER, config.disk_errors, *window,
+                 arg=config.disk_error_persistence),
+        ])
+        return cls(FaultEvent(*event) for event in events)

@@ -24,7 +24,8 @@ Layer 3 -- :mod:`repro.service.chaos` and :mod:`repro.service.spool`
 :class:`ServiceFaultPlan` SIGKILLs workers mid-request, drops and
 garbles protocol messages, and corrupts spool checkpoints, while the
 fleet's recovery machinery (idempotent retries, respawn + warm-restore
-from checksummed spool generations, journal replay, degradation to
+from each session's one checksummed spool file, journal replay -- from
+the admission spec when that file is corrupt -- and degradation to
 inline hosts) keeps the artifact byte-identical to the clean run::
 
     python -m repro.service chaos --workers 4

@@ -47,6 +47,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_loadtest(args: argparse.Namespace) -> int:
+    """``loadtest``, and ``chaos``: the same loadtest under a storm."""
+    chaos = args.command == "chaos"
+    storm = {}
+    if chaos:
+        storm = {
+            "chaos": {"seed": args.chaos_seed,
+                      **{key: getattr(args, key) for key in CHAOS_TEMPLATE}},
+            "checkpoint_every": args.checkpoint_every,
+            "max_respawns": args.max_respawns,
+        }
     start = time.perf_counter()
     artifact, stats = run_loadtest(
         sessions=args.sessions,
@@ -59,70 +69,26 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         checkpoint_interval=args.checkpoint_interval,
         max_retries=args.max_retries,
         serial=args.serial,
+        **storm,
     )
     seconds = time.perf_counter() - start
     text = loadtest_json(artifact)
     if args.output:
         with open(args.output, "w") as f:
             f.write(text)
-        print(f"loadtest artifact -> {args.output}", file=sys.stderr)
+        print(f"{args.command} artifact -> {args.output}", file=sys.stderr)
     else:
         print(text, end="")
     counts = summarize(artifact)
     report = dict(counts, seconds=round(seconds, 3), **stats)
-    print(f"loadtest: {json.dumps(report, sort_keys=True)}", file=sys.stderr)
+    print(f"{args.command}: {json.dumps(report, sort_keys=True)}",
+          file=sys.stderr)
     # Unrecovered *faulted* sessions are measurements; a clean session
     # failing (or not verifying) is a real defect.
-    clean_ok = all(
-        r["verified"] for r in artifact["results"].values() if not r["faulted"]
-    )
-    return 0 if clean_ok else 1
-
-
-def _cmd_chaos(args: argparse.Namespace) -> int:
-    chaos = {
-        "seed": args.chaos_seed,
-        "worker_crashes": args.worker_crashes,
-        "message_drops": args.message_drops,
-        "reply_garbles": args.reply_garbles,
-        "worker_stalls": args.worker_stalls,
-        "spool_corruptions": args.spool_corruptions,
-        "spool_truncations": args.spool_truncations,
-        "first_op": args.first_op,
-        "last_op": args.last_op,
-        "first_spool": args.first_spool,
-        "last_spool": args.last_spool,
-    }
-    start = time.perf_counter()
-    artifact, stats = run_loadtest(
-        sessions=args.sessions,
-        workers=args.workers,
-        capacity=args.capacity,
-        slice_cycles=args.slice_cycles,
-        max_cycles=args.max_cycles,
-        seed=args.seed,
-        fault_every=args.fault_every,
-        checkpoint_interval=args.checkpoint_interval,
-        max_retries=args.max_retries,
-        chaos=chaos,
-        checkpoint_every=args.checkpoint_every,
-        max_respawns=args.max_respawns,
-    )
-    seconds = time.perf_counter() - start
-    text = loadtest_json(artifact)
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"chaos artifact -> {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
-    counts = summarize(artifact)
-    report = dict(counts, seconds=round(seconds, 3), **stats)
-    print(f"chaos: {json.dumps(report, sort_keys=True)}", file=sys.stderr)
     ok = all(
         r["verified"] for r in artifact["results"].values() if not r["faulted"]
     )
-    if args.require_counters:
+    if chaos and args.require_counters:
         for counter in args.require_counters.split(","):
             counter = counter.strip()
             if not stats.get(counter):
@@ -175,66 +141,44 @@ def main(argv=None) -> int:
     serve_p.add_argument("--max-retries", type=int, default=3)
     serve_p.set_defaults(func=_cmd_serve)
 
-    load_p = sub.add_parser(
-        "loadtest", help="scripted determinism/throughput harness"
-    )
-    load_p.add_argument("--sessions", type=int, default=60)
-    load_p.add_argument("--workers", type=int, default=1)
-    load_p.add_argument("--capacity", type=int, default=12,
+    # The flags loadtest and chaos share: the scripted session stream.
+    stream = argparse.ArgumentParser(add_help=False)
+    stream.add_argument("--sessions", type=int, default=60)
+    stream.add_argument("--workers", type=int, default=1)
+    stream.add_argument("--capacity", type=int, default=12,
                         help="kept far below --sessions to force "
                              "evictions and migrations")
-    load_p.add_argument("--slice-cycles", type=int, default=1200)
-    load_p.add_argument("--max-cycles", type=int, default=240_000)
-    load_p.add_argument("--seed", type=int, default=17)
-    load_p.add_argument("--fault-every", type=int, default=3,
+    stream.add_argument("--slice-cycles", type=int, default=1200)
+    stream.add_argument("--max-cycles", type=int, default=240_000)
+    stream.add_argument("--seed", type=int, default=17,
+                        help="loadtest script seed (not the storm seed)")
+    stream.add_argument("--fault-every", type=int, default=3,
                         help="every Nth session gets a seeded fault plan "
                              "(0 disables)")
-    load_p.add_argument("--checkpoint-interval", type=int, default=600)
-    load_p.add_argument("--max-retries", type=int, default=4)
+    stream.add_argument("--checkpoint-interval", type=int, default=600)
+    stream.add_argument("--max-retries", type=int, default=4)
+    stream.add_argument("--output", default=None,
+                        help="write the canonical artifact here instead "
+                             "of stdout")
+
+    load_p = sub.add_parser(
+        "loadtest", parents=[stream],
+        help="scripted determinism/throughput harness",
+    )
     load_p.add_argument("--serial", action="store_true",
                         help="plain in-process sessions, no fleet: the "
                              "byte-identity ground truth")
-    load_p.add_argument("--output", default=None,
-                        help="write the canonical artifact here instead "
-                             "of stdout")
     load_p.set_defaults(func=_cmd_loadtest)
 
     chaos_p = sub.add_parser(
-        "chaos",
+        "chaos", parents=[stream],
         help="loadtest under a seeded service-fault storm; the artifact "
              "must still match the clean serial run byte-for-byte",
     )
-    chaos_p.add_argument("--sessions", type=int, default=60)
-    chaos_p.add_argument("--workers", type=int, default=1)
-    chaos_p.add_argument("--capacity", type=int, default=12)
-    chaos_p.add_argument("--slice-cycles", type=int, default=1200)
-    chaos_p.add_argument("--max-cycles", type=int, default=240_000)
-    chaos_p.add_argument("--seed", type=int, default=17,
-                         help="loadtest script seed (not the storm seed)")
-    chaos_p.add_argument("--fault-every", type=int, default=3)
-    chaos_p.add_argument("--checkpoint-interval", type=int, default=600)
-    chaos_p.add_argument("--max-retries", type=int, default=4)
     chaos_p.add_argument("--chaos-seed", type=int, default=1)
-    chaos_p.add_argument("--worker-crashes", type=int,
-                         default=CHAOS_TEMPLATE["worker_crashes"])
-    chaos_p.add_argument("--message-drops", type=int,
-                         default=CHAOS_TEMPLATE["message_drops"])
-    chaos_p.add_argument("--reply-garbles", type=int,
-                         default=CHAOS_TEMPLATE["reply_garbles"])
-    chaos_p.add_argument("--worker-stalls", type=int,
-                         default=CHAOS_TEMPLATE["worker_stalls"])
-    chaos_p.add_argument("--spool-corruptions", type=int,
-                         default=CHAOS_TEMPLATE["spool_corruptions"])
-    chaos_p.add_argument("--spool-truncations", type=int,
-                         default=CHAOS_TEMPLATE["spool_truncations"])
-    chaos_p.add_argument("--first-op", type=int,
-                         default=CHAOS_TEMPLATE["first_op"])
-    chaos_p.add_argument("--last-op", type=int,
-                         default=CHAOS_TEMPLATE["last_op"])
-    chaos_p.add_argument("--first-spool", type=int,
-                         default=CHAOS_TEMPLATE["first_spool"])
-    chaos_p.add_argument("--last-spool", type=int,
-                         default=CHAOS_TEMPLATE["last_spool"])
+    for key, default in CHAOS_TEMPLATE.items():
+        chaos_p.add_argument("--" + key.replace("_", "-"), type=int,
+                             default=default)
     chaos_p.add_argument("--checkpoint-every", type=int, default=8,
                          help="background-checkpoint a hot session every "
                               "N acknowledged slices (0 disables)")
@@ -244,10 +188,7 @@ def main(argv=None) -> int:
     chaos_p.add_argument("--require-counters", default=None,
                          help="comma-separated recovery counters that must "
                               "be nonzero (exit 1 otherwise)")
-    chaos_p.add_argument("--output", default=None,
-                         help="write the canonical artifact here instead "
-                              "of stdout")
-    chaos_p.set_defaults(func=_cmd_chaos)
+    chaos_p.set_defaults(func=_cmd_loadtest, serial=False)
 
     bench_p = sub.add_parser("bench", help="scaling + admission sweep")
     bench_p.add_argument("--workers", default="1,2,4",

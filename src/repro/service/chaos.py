@@ -32,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 from ..errors import ConfigError
-from ..fault.plan import _Lcg
+from ..fault.plan import Draw, SeededPlan, seeded_schedule
 
 
 class ServiceFaultKind(Enum):
@@ -146,59 +146,27 @@ CHAOS_TEMPLATE = {
 }
 
 
-class ServiceFaultPlan:
+class ServiceFaultPlan(SeededPlan):
     """A realized schedule of service-fault events, grouped by channel."""
 
-    def __init__(self, events: Sequence[ServiceFaultEvent] = ()) -> None:
-        self.events: Tuple[ServiceFaultEvent, ...] = tuple(
-            sorted(events, key=lambda e: (e.op, e.kind.value, e.arg))
-        )
-
-    @classmethod
-    def empty(cls) -> "ServiceFaultPlan":
-        return cls(())
+    _index = "op"
+    _channel = "channel"
 
     @classmethod
     def from_config(cls, config: ServiceFaultConfig) -> "ServiceFaultPlan":
-        rng = _Lcg(config.seed)
-        op_span = config.last_op - config.first_op + 1
-        spool_span = config.last_spool - config.first_spool + 1
-        events: List[ServiceFaultEvent] = []
-
-        def op_index() -> int:
-            return config.first_op + rng.next(op_span)
-
-        def spool_index() -> int:
-            return config.first_spool + rng.next(spool_span)
-
-        for _ in range(config.worker_crashes):
-            events.append(ServiceFaultEvent(op_index(), ServiceFaultKind.WORKER_CRASH))
-        for _ in range(config.message_drops):
-            events.append(ServiceFaultEvent(op_index(), ServiceFaultKind.MESSAGE_DROP))
-        for _ in range(config.reply_garbles):
-            events.append(ServiceFaultEvent(op_index(), ServiceFaultKind.REPLY_GARBLE))
-        for _ in range(config.worker_stalls):
-            events.append(ServiceFaultEvent(op_index(), ServiceFaultKind.WORKER_STALL))
-        for _ in range(config.spool_corruptions):
-            events.append(
-                ServiceFaultEvent(spool_index(), ServiceFaultKind.SPOOL_CORRUPT, rng.next(1 << 12))
-            )
-        for _ in range(config.spool_truncations):
-            events.append(
-                ServiceFaultEvent(spool_index(), ServiceFaultKind.SPOOL_TRUNCATE, rng.next(1 << 12))
-            )
-        return cls(events)
-
-    def schedule(self, channel: str) -> List[ServiceFaultEvent]:
-        """The channel's events, earliest first."""
-        return [e for e in self.events if e.channel == channel]
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.events
+        ops = (config.first_op, config.last_op)
+        spools = (config.first_spool, config.last_spool)
+        events = seeded_schedule(config.seed, [
+            Draw(ServiceFaultKind.WORKER_CRASH, config.worker_crashes, *ops),
+            Draw(ServiceFaultKind.MESSAGE_DROP, config.message_drops, *ops),
+            Draw(ServiceFaultKind.REPLY_GARBLE, config.reply_garbles, *ops),
+            Draw(ServiceFaultKind.WORKER_STALL, config.worker_stalls, *ops),
+            Draw(ServiceFaultKind.SPOOL_CORRUPT, config.spool_corruptions,
+                 *spools, arg_bound=1 << 12),
+            Draw(ServiceFaultKind.SPOOL_TRUNCATE, config.spool_truncations,
+                 *spools, arg_bound=1 << 12),
+        ])
+        return cls(ServiceFaultEvent(*event) for event in events)
 
 
 class ChaosInjector:

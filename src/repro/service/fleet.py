@@ -23,19 +23,21 @@ accident:
 
 PR 10 extends the invariant to *failure*: every request rides an
 idempotent request id (a worker deduplicates retries against its last
-reply), every acknowledged slice is journaled, and hot sessions are
-background-checkpointed to generational spool files -- so when a worker
-dies mid-request the fleet respawns the slot, warm-restores its
-sessions from their last valid spool generation (falling back past
-checksummed corruption), replays the journaled slices the checkpoint
-missed, and retries the in-flight request exactly once.  Lost or
-garbled messages retry with exponential backoff (injectable sleep, as
-in the :class:`~repro.supervise.Supervisor`); a slot that exhausts its
-respawn budget degrades to an in-process :class:`InlineHost`.  None of
-it can leak into results: a chaos run under a seeded
-:class:`~repro.service.chaos.ServiceFaultPlan` converges to an
-artifact byte-identical to the clean serial run, which the
-``service-chaos`` CI job enforces at workers 1/2/4.
+reply), every acknowledged slice is journaled, and each session has
+one checksummed spool file, ``<spool_dir>/<name>.spool``, replaced
+atomically on eviction and on background checkpoint.  One restore
+path serves both eviction-resume and crash recovery: resume the spool
+file and replay the journal past it, or -- if the file is missing or
+corrupt -- re-open the session from its admission spec and replay the
+whole journal.  A worker that dies mid-request is respawned, its
+sessions restored that way, and the in-flight request retried exactly
+once.  Lost or garbled messages retry with exponential backoff
+(injectable sleep, as in the :class:`~repro.supervise.Supervisor`); a
+slot that exhausts its respawn budget degrades to an in-process
+:class:`InlineHost`.  None of it can leak into results: a chaos run
+under a seeded :class:`~repro.service.chaos.ServiceFaultPlan`
+converges to an artifact byte-identical to the clean serial run, which
+the ``service-chaos`` CI job enforces at workers 1/2/4.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ class SessionHost:
     reply.  The host remembers its last (req, reply) pair and answers a
     repeated id from that cache without re-executing -- the idempotence
     that makes the fleet's retry-after-timeout and retry-after-garble
-    paths safe for non-repeatable operations like ``run`` and
+    paths safe for non-repeatable operations like ``run_batch`` and
     ``suspend``.
     """
 
@@ -150,22 +152,18 @@ class SessionHost:
                 )
             self.sessions[session.name] = session
             return {"ok": True, "name": session.name}
-        if op == "run":
-            return {"ok": True, **self._run(message["name"], message["cycles"])}
         if op == "run_batch":
             return {"ok": True, "replies": [
                 self._run(name, cycles) for name, cycles in message["items"]
             ]}
         if op == "suspend":
+            # ``keep`` makes it a checkpoint: the envelope without the
+            # evict.  Snapshots are side-effect-free (PR 4), so
+            # checkpointing a hot session cannot perturb its trajectory.
             name = message["name"]
             envelope = self._session(name).suspend()
-            del self.sessions[name]
-            return {"ok": True, "envelope": envelope}
-        if op == "checkpoint":
-            # A non-destructive suspend: the envelope without the evict.
-            # Snapshots are side-effect-free (PR 4), so checkpointing a
-            # hot session cannot perturb its trajectory.
-            envelope = self._session(message["name"]).suspend()
+            if not message.get("keep"):
+                del self.sessions[name]
             return {"ok": True, "envelope": envelope}
         if op == "result":
             return {"ok": True, "result": self._session(message["name"]).result()}
@@ -346,11 +344,9 @@ class Fleet:
 
     * ``chaos`` -- a :class:`~repro.service.chaos.ServiceFaultConfig`
       (or field dict) arming a seeded service-fault plan.
-    * ``checkpoint_every`` -- background-checkpoint a hot session to a
-      new spool generation every N acknowledged slices (0 disables);
-      bounds how much replay a crash can cost.
-    * ``spool_keep`` -- spool generations retained per session; the
-      corruption fallback depth.
+    * ``checkpoint_every`` -- background-checkpoint a hot session to
+      its spool file every N acknowledged slices (0 disables); bounds
+      how much replay a crash can cost.
     * ``max_call_retries`` -- resend budget for lost/garbled/stalled
       requests before the slot is treated as wedged and crash-recovered.
     * ``max_respawns`` -- per-slot crash budget; beyond it the slot
@@ -371,7 +367,6 @@ class Fleet:
         max_retries: int = 3,
         chaos: Optional[Any] = None,
         checkpoint_every: int = 8,
-        spool_keep: int = 2,
         call_timeout: Optional[float] = 300.0,
         max_call_retries: int = 3,
         max_respawns: int = 2,
@@ -384,13 +379,10 @@ class Fleet:
             raise ServiceError(f"workers must be >= 1, got {workers}")
         if capacity < 1:
             raise ServiceError(f"capacity must be >= 1, got {capacity}")
-        if spool_keep < 1:
-            raise ServiceError(f"spool_keep must be >= 1, got {spool_keep}")
         self.capacity = capacity
         self.checkpoint_interval = checkpoint_interval
         self.max_retries = max_retries
         self.checkpoint_every = checkpoint_every
-        self.spool_keep = spool_keep
         self.call_timeout = call_timeout
         self.max_call_retries = max_call_retries
         self.max_respawns = max_respawns
@@ -434,9 +426,7 @@ class Fleet:
         self._known: set = set()                 # every open (live or spooled)
         self._opens: Dict[str, Dict[str, Any]] = {}   # name -> open message
         self._history: Dict[str, List[int]] = {}      # acknowledged slices
-        self._ckpt_index: Dict[str, int] = {}    # history idx of last spool
-        self._gens: Dict[str, List[Tuple[str, int]]] = {}  # (path, hist idx)
-        self._gen_seq: Dict[str, int] = {}
+        self._ckpt_index: Dict[str, int] = {}    # history idx of the spool
         self._last_host: Dict[str, int] = {}     # name -> last worker index
         self._reqs: Dict[int, int] = {}          # worker -> request counter
         self._crash_counts: Dict[int, int] = {}  # worker -> crashes so far
@@ -540,30 +530,22 @@ class Fleet:
             try:
                 return self._await_reply(worker, pending)
             except WorkerCrashed as exc:
-                self._recover_crash(worker, exc)
-                pending = self._dispatch(
-                    worker, pending["message"], req=pending["req"], chaos=False
-                )
+                cause = exc
             except (CallTimeout, GarbledReply) as exc:
                 self.counters["retries"] += 1
                 attempts += 1
-                if attempts > self.max_call_retries:
-                    # The slot is wedged: treat it as crashed.  kill()
-                    # makes the diagnosis true before recovery acts on it.
-                    host = self.hosts[worker]
-                    if isinstance(host, ProcessHost):
-                        host.kill()
-                    self._recover_crash(worker, exc)
+                if attempts <= self.max_call_retries:
+                    self._sleep(self.backoff_base * (2 ** (attempts - 1)))
                     pending = self._dispatch(
-                        worker, pending["message"], req=pending["req"],
-                        chaos=False,
+                        worker, pending["message"], req=pending["req"]
                     )
-                    attempts = 0
                     continue
-                self._sleep(self.backoff_base * (2 ** (attempts - 1)))
-                pending = self._dispatch(
-                    worker, pending["message"], req=pending["req"]
-                )
+                cause = exc  # the slot is wedged: treat it as crashed
+                attempts = 0
+            self._recover_crash(worker, cause)
+            pending = self._dispatch(
+                worker, pending["message"], req=pending["req"], chaos=False
+            )
 
     def _call(
         self, worker: int, message: Dict[str, Any], *, chaos: bool = True
@@ -579,11 +561,9 @@ class Fleet:
     def _recover_crash(self, worker: int, cause: Exception) -> None:
         """Respawn (or degrade) a dead slot and restore its sessions.
 
-        The restored sessions come from their last valid spool
-        generation plus a replay of the journaled slices the checkpoint
-        missed, so the slot rejoins the fleet with every session at
-        exactly the state the coordinator last acknowledged.  LRU order
-        is untouched: recovery must stay invisible to eviction
+        Every session the slot hosted is restored (see :meth:`_restore`)
+        to exactly the state the coordinator last acknowledged.  LRU
+        order is untouched: recovery must stay invisible to eviction
         decisions, which are a pure function of the request stream.
         """
         self.counters["worker_crashes"] += 1
@@ -605,21 +585,36 @@ class Fleet:
             self.hosts[worker] = ProcessHost(self._ctx, index=worker)
             self.counters["respawns"] += 1
         for name in sorted(n for n, w in self._live.items() if w == worker):
-            self._restore_lost(name, worker)
+            self._restore(name, worker, chaos=False)
 
-    def _restore_lost(self, name: str, worker: int) -> None:
-        """Warm-restore one crashed session onto the replacement host."""
-        payload, replay_from = self._read_spool(name)
+    def _restore(self, name: str, worker: int, *, chaos: bool) -> None:
+        """Bring *name* up on *worker* at its last acknowledged state.
+
+        A valid spool file is resumed and the journal replayed past the
+        position it captured.  A missing or corrupt one (the corruption
+        counted once, the file deleted) falls back to re-opening the
+        admission spec and replaying the whole journal -- graceful
+        degradation of the spool, not an error the caller sees.
+        *chaos* applies to the resume request only; the re-open and the
+        replay are recovery traffic.
+        """
+        path = self._spool_path(name)
+        try:
+            payload: Optional[str] = spool_read(path)
+        except FileNotFoundError:
+            payload = None
+        except SpoolCorruption:
+            self.counters["checkpoint_corruptions"] += 1
+            self._drop_spool(name)
+            payload = None
         if payload is not None:
             self._call(worker, {"op": "resume", "envelope": payload},
-                       chaos=False)
+                       chaos=chaos)
+            start = self._ckpt_index[name]
         else:
-            # No valid spool generation (crashed before the first
-            # checkpoint, or every generation corrupt): rebuild from the
-            # original admission spec and replay the whole journal.
             self._call(worker, dict(self._opens[name]), chaos=False)
-            replay_from = 0
-        self._replay(name, worker, replay_from)
+            start = 0
+        self._replay(name, worker, start)
 
     def _replay(self, name: str, worker: int, start: int) -> None:
         """Re-grant journaled slices the restored checkpoint has not seen.
@@ -637,28 +632,22 @@ class Fleet:
                 "items": [(name, cycles) for cycles in chunk],
             }, chaos=False)
 
-    # -- spool generations ---------------------------------------------
+    # -- the spool file ------------------------------------------------
+
+    def _spool_path(self, name: str) -> str:
+        return os.path.join(self.spool_dir, f"{name}.spool")
 
     def _write_spool(self, name: str, envelope: str, index: int,
                      *, evict: bool) -> str:
-        """Write a new checksummed spool generation for *name*.
+        """Replace *name*'s checksummed spool file with *envelope*.
 
         *index* is the journal position the envelope captures; restore
         replays everything after it.  Only eviction writes consume
         chaos spool events -- the load test is guaranteed to read those
         back, which keeps corruption *detection* deterministic.
         """
-        gen = self._gen_seq[name] = self._gen_seq.get(name, 0) + 1
-        path = os.path.join(self.spool_dir, f"{name}.g{gen:06d}.spool")
+        path = self._spool_path(name)
         spool_write(path, envelope)
-        gens = self._gens.setdefault(name, [])
-        gens.append((path, index))
-        while len(gens) > self.spool_keep:
-            old_path, _ = gens.pop(0)
-            try:
-                os.unlink(old_path)
-            except OSError:
-                pass
         self._ckpt_index[name] = index
         if evict and self._chaos is not None:
             event = self._chaos.next_spool()
@@ -679,36 +668,11 @@ class Fleet:
         with open(path, "wb") as f:
             f.write(data)
 
-    def _read_spool(self, name: str) -> Tuple[Optional[str], int]:
-        """The newest valid spool payload and its journal position.
-
-        Falls back through older generations on checksum failure,
-        counting each detection once (a generation caught corrupt is
-        pruned, never re-walked); ``(None, 0)`` means nothing on disk
-        survived and the caller must rebuild from the admission spec.
-        """
-        gens = self._gens.get(name, [])
-        for path, index in reversed(list(gens)):
-            try:
-                return spool_read(path), index
-            except FileNotFoundError:
-                gens.remove((path, index))
-            except SpoolCorruption:
-                self.counters["checkpoint_corruptions"] += 1
-                gens.remove((path, index))
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-        return None, 0
-
     def _drop_spool(self, name: str) -> None:
-        for path, _ in self._gens.pop(name, []):
-            try:
-                os.unlink(path)
-            except OSError:
-                pass
-        self._gen_seq.pop(name, None)
+        try:
+            os.unlink(self._spool_path(name))
+        except OSError:
+            pass
 
     # -- placement and capacity ----------------------------------------
 
@@ -756,7 +720,8 @@ class Fleet:
         if history_len - self._ckpt_index.get(name, 0) < self.checkpoint_every:
             return
         worker = self._live[name]
-        reply = self._call(worker, {"op": "checkpoint", "name": name})
+        reply = self._call(worker, {"op": "suspend", "name": name,
+                                    "keep": True})
         self._write_spool(name, reply["envelope"], history_len, evict=False)
         self.counters["checkpoints"] += 1
 
@@ -808,17 +773,7 @@ class Fleet:
             raise ServiceError(f"unknown session {name!r}")
         self._make_room()
         worker = self._place()
-        payload, replay_from = self._read_spool(name)
-        if payload is not None:
-            self._call(worker, {"op": "resume", "envelope": payload})
-        else:
-            # Every on-disk generation was corrupt (or none was ever
-            # written): rebuild from the admission spec and replay the
-            # whole journal -- graceful degradation of the spool, not
-            # an error the caller sees.
-            self._call(worker, dict(self._opens[name]), chaos=False)
-            replay_from = 0
-        self._replay(name, worker, replay_from)
+        self._restore(name, worker, chaos=True)
         self._admit(name, worker)
         self.counters["resumes"] += 1
         if self._last_host.get(name, worker) != worker:
@@ -826,13 +781,7 @@ class Fleet:
         return worker
 
     def run_slice(self, name: str, cycles: int) -> Dict[str, Any]:
-        worker = self.ensure_live(name)
-        reply = self._call(worker, {
-            "op": "run", "name": name, "cycles": cycles,
-        })
-        self._history[name].append(cycles)
-        self._maybe_checkpoint(name, reply.get("status", ""))
-        return {k: v for k, v in reply.items() if k not in ("ok", "req")}
+        return self.run_round([name], cycles)[name]
 
     def run_round(
         self, names: Sequence[str], cycles: int
@@ -883,15 +832,12 @@ class Fleet:
         return self._call(worker, {"op": "meter", "name": name})["meter"]
 
     def suspend(self, name: str) -> str:
-        """Force-evict *name*; returns its (latest) envelope path."""
+        """Force-evict *name*; returns its spool file path."""
         if name in self._live:
             return self._evict(name)
         if name not in self._known:
             raise ServiceError(f"unknown session {name!r}")
-        gens = self._gens.get(name)
-        if not gens:
-            raise ServiceError(f"session {name!r} has no spool generations")
-        return gens[-1][0]
+        return self._spool_path(name)
 
     def close_session(self, name: str) -> None:
         if name in self._live:

@@ -1,7 +1,8 @@
 """Checksummed, versioned spool checkpoint envelopes (DESIGN.md 5.10).
 
-The fleet's currency is the suspend envelope: LRU eviction writes one
-to disk, resumption (and now crash recovery) reads it back.  PR 9
+The fleet's currency is the suspend envelope: each session has one
+spool file, which LRU eviction and background checkpoints replace and
+resumption (and now crash recovery) reads back.  PR 9
 trusted those files blindly -- a truncated or bit-flipped spool file
 would be fed straight into ``Session.resume`` and fail in whatever way
 the JSON parser happened to notice first, if at all.  This module
@@ -15,9 +16,9 @@ The header is one JSON line; the payload is the session's canonical
 suspend envelope, byte-exact.  :func:`spool_decode` verifies the
 version, the byte length (truncation), and the SHA-256 digest (any
 flipped bit) and raises :class:`~repro.errors.SpoolCorruption` on the
-slightest disagreement -- the fleet catches that and falls back to the
-previous spool generation, counting the detection in
-``checkpoint_corruptions``.
+slightest disagreement -- the fleet catches that, counts the detection
+in ``checkpoint_corruptions``, deletes the file, and rebuilds the
+session from its admission spec by replaying the whole slice journal.
 """
 
 from __future__ import annotations

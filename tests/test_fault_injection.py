@@ -59,6 +59,39 @@ def test_different_seed_different_plan():
     assert InjectionPlan.from_config(RICH).events != InjectionPlan.from_config(other).events
 
 
+def test_seeded_plans_match_recorded_schedules():
+    """Both seeded plans expand through ``seeded_schedule``; these events
+    were recorded before they shared it, so the draw order (index, then
+    arg, kind by kind) is pinned for the machine and the service storm."""
+    from repro.service import CHAOS_TEMPLATE, ServiceFaultConfig, ServiceFaultPlan
+
+    def rows(plan, index):
+        return [(getattr(e, index), e.kind.value, e.arg) for e in plan.events]
+
+    # The CI recovery job's fault plan.
+    ci = FaultConfig(seed=39, storage_uncorrectable=1, map_faults=1,
+                     first_cycle=0, last_cycle=2200)
+    assert rows(InjectionPlan.from_config(ci), "cycle") == [
+        (1, "ecc_uncorrectable", 782), (969, "map", 0),
+    ]
+    assert rows(InjectionPlan.from_config(RICH), "cycle") == [
+        (4135, "ecc_correctable", 312), (22735, "disk_transfer", 1),
+        (33598, "ecc_correctable", 1951), (45837, "map", 0),
+        (57596, "ecc_uncorrectable", 2647), (62968, "ecc_correctable", 2879),
+        (66643, "disk_transfer", 1), (73393, "map", 0), (77947, "bounds", 0),
+        (78281, "write_protect", 0),
+    ]
+    storm = ServiceFaultConfig(seed=1, **CHAOS_TEMPLATE)
+    assert rows(ServiceFaultPlan.from_config(storm), "op") == [
+        (8, "reply_garble", 0), (9, "worker_crash", 0),
+        (14, "spool_corrupt", 221), (16, "worker_stall", 0),
+        (17, "worker_stall", 0), (26, "spool_truncate", 418),
+        (30, "spool_corrupt", 2738), (53, "worker_crash", 0),
+        (79, "worker_crash", 0), (90, "message_drop", 0),
+        (107, "message_drop", 0), (108, "reply_garble", 0),
+    ]
+
+
 def test_plan_counts_and_partition():
     plan = InjectionPlan.from_config(RICH)
     assert len(plan) == RICH.total_events == 10

@@ -243,14 +243,15 @@ def test_sessionhost_protocol_errors_are_data():
     duplicate = host.handle({"op": "open", "name": "s1",
                              "workload": "mesa_loop_sum"})
     assert not duplicate["ok"] and "already live" in duplicate["error"]
-    missing = host.handle({"op": "run", "name": "ghost", "cycles": 100})
+    missing = host.handle({"op": "run_batch", "items": [("ghost", 100)]})
     assert not missing["ok"] and "not live" in missing["error"]
     unknown = host.handle({"op": "teleport"})
     assert not unknown["ok"]
 
-    reply = host.handle({"op": "run", "name": "s1", "cycles": 600})
-    assert reply["ok"] and reply["status"] == "running"
-    assert reply["cycles"] == 600
+    reply = host.handle({"op": "run_batch", "items": [("s1", 600)]})
+    assert reply["ok"]
+    [row] = reply["replies"]
+    assert row["status"] == "running" and row["cycles"] == 600
     suspended = host.handle({"op": "suspend", "name": "s1"})
     assert suspended["ok"] and "s1" not in host.sessions
     assert host.handle({"op": "resume",
@@ -264,8 +265,8 @@ def test_host_reports_run_failure_as_data_not_error():
     # oracle rejects it -- recorded, not raised.
     host.handle({"op": "open", "name": "hurt", "workload": "mesa_loop_sum",
                  "fault": DEMO_FAULT, "supervise": False})
-    reply = host.handle({"op": "run", "name": "hurt", "cycles": 200_000})
-    assert reply["ok"] and reply["status"] == "halted"
+    reply = host.handle({"op": "run_batch", "items": [("hurt", 200_000)]})
+    assert reply["ok"] and reply["replies"][0]["status"] == "halted"
     result = host.handle({"op": "result", "name": "hurt"})["result"]
     assert result["verified"] is False
     assert result["recovered"] is False
@@ -275,9 +276,9 @@ def test_host_reports_run_failure_as_data_not_error():
     host.handle({"op": "open", "name": "doomed", "workload": "mesa_loop_sum",
                  "fault": DEMO_FAULT, "supervise": True,
                  "checkpoint_interval": 600, "max_retries": 0})
-    reply = host.handle({"op": "run", "name": "doomed", "cycles": 200_000})
-    assert reply["ok"] and reply["status"] == "failed"
-    assert reply["failure"]
+    reply = host.handle({"op": "run_batch", "items": [("doomed", 200_000)]})
+    assert reply["ok"] and reply["replies"][0]["status"] == "failed"
+    assert reply["replies"][0]["failure"]
     result = host.handle({"op": "result", "name": "doomed"})["result"]
     assert result["recovered"] is False and result["failure"]
 
@@ -318,12 +319,17 @@ def test_fleet_api_validation(tmp_path):
             fleet.open_session("bad/name", "mesa_loop_sum")
         with pytest.raises(ServiceError, match="unknown session"):
             fleet.run_slice("ghost", 100)
-        # Forced suspend spools the envelope; any access resumes it.
+        # Forced suspend spools the envelope to the session's one spool
+        # file; any access resumes it.
         path = fleet.suspend("s1")
-        assert pathlib.Path(path).exists()
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "s1.spool"]
+        assert pathlib.Path(path) == tmp_path / "s1.spool"
         assert fleet.stats()["live"] == []
         assert fleet.run_slice("s1", 500)["cycles"] == 500
         assert fleet.stats()["live"] == ["s1"]
+        # A second eviction replaces the file rather than adding one.
+        assert fleet.suspend("s1") == path
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "s1.spool"]
     with pytest.raises(ServiceError):
         Fleet(workers=0)
 
@@ -451,9 +457,9 @@ def test_process_host_reports_crash_with_context():
                           "workload": "mesa_loop_sum"})["ok"]
         host.kill()
         with pytest.raises(WorkerCrashed) as info:
-            host.call({"op": "run", "name": "s1", "cycles": 100})
+            host.call({"op": "run_batch", "items": [("s1", 100)]})
         assert info.value.worker == 3
-        assert info.value.op == "run"
+        assert info.value.op == "run_batch"
         assert info.value.sessions == ("s1",)
     finally:
         host.reap()
@@ -469,20 +475,22 @@ def test_process_host_reports_crash_with_context():
 
 
 def test_host_request_dedup_and_checkpoint():
-    """Duplicate req ids replay the cached reply; checkpoint is a
-    non-destructive suspend."""
+    """Duplicate req ids replay the cached reply; a checkpoint (suspend
+    with keep) is non-destructive."""
     host = SessionHost()
     host.handle({"op": "open", "name": "s1", "workload": "mesa_loop_sum",
                  "req": 1})
-    first = host.handle({"op": "run", "name": "s1", "cycles": 300, "req": 2})
-    assert first["ok"] and first["cycles"] == 300 and first["req"] == 2
-    replayed = host.handle({"op": "run", "name": "s1", "cycles": 300,
-                            "req": 2})
+    run = {"op": "run_batch", "items": [("s1", 300)]}
+    first = host.handle(dict(run, req=2))
+    assert first["ok"] and first["req"] == 2
+    assert first["replies"][0]["cycles"] == 300
+    replayed = host.handle(dict(run, req=2))
     assert replayed == first  # cached: the slice was NOT granted twice
-    second = host.handle({"op": "run", "name": "s1", "cycles": 300, "req": 3})
-    assert second["cycles"] == 600
+    second = host.handle(dict(run, req=3))
+    assert second["replies"][0]["cycles"] == 600
 
-    snapshot = host.handle({"op": "checkpoint", "name": "s1", "req": 4})
+    snapshot = host.handle({"op": "suspend", "name": "s1", "keep": True,
+                            "req": 4})
     assert snapshot["ok"] and "s1" in host.sessions  # still live
     twin = Session.resume(snapshot["envelope"])
     assert twin.cpu.counters.cycles == 600

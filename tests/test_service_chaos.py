@@ -8,10 +8,11 @@ What is under test (DESIGN.md 5.10):
 * the spool envelope -- sha256-checksummed, versioned checkpoint files
   whose reader *refuses* truncation, bit flips, and version skew.
 * :class:`repro.service.Fleet` recovery -- dead workers respawn and
-  warm-restore their sessions from spool generations plus journal
-  replay; lost/garbled/stalled messages retry idempotently; corrupt
-  spool generations fall back to older ones; slots that exhaust their
-  respawn budget degrade to inline hosts (or shed load).
+  warm-restore their sessions from their one spool file plus journal
+  replay; lost/garbled/stalled messages retry idempotently; a corrupt
+  spool file falls back to re-opening the admission spec and replaying
+  the whole journal; slots that exhaust their respawn budget degrade
+  to inline hosts (or shed load).
 * the gate: a chaos loadtest converges to an artifact byte-identical
   to the clean serial run -- PR 5's recovery-convergence criterion at
   fleet level.
@@ -201,7 +202,7 @@ def test_fleet_retries_drops_garbles_and_stalls(tmp_path):
 
 
 @needs_fork
-def test_fleet_falls_back_past_corrupt_spool_generations(tmp_path):
+def test_fleet_rebuilds_from_spec_past_corrupt_spool(tmp_path):
     reference = _reference_results(count=4)
     chaos = {"seed": 11, "spool_corruptions": 2, "spool_truncations": 1,
              "first_spool": 1, "last_spool": 6}
@@ -209,7 +210,7 @@ def test_fleet_falls_back_past_corrupt_spool_generations(tmp_path):
                chaos=chaos, checkpoint_every=2) as fleet:
         results = _drive(fleet)
         stats = fleet.stats()
-    assert results == reference  # fallback + replay, not wrong answers
+    assert results == reference  # spec re-open + replay, not wrong answers
     assert stats["checkpoint_corruptions"] == 3
     assert stats["chaos_pending"] == 0
 
@@ -347,8 +348,8 @@ def test_chaos_cli_artifact_matches_clean_serial(tmp_path, capsys):
 
 @needs_fork
 def test_hot_sessions_background_checkpoint_and_warm_restore(tmp_path):
-    """Sessions that never face eviction still spool generations in the
-    background, so a late crash warm-restores from a checkpoint instead
+    """Sessions that never face eviction still checkpoint to their spool
+    file in the background, so a late crash warm-restores from a checkpoint instead
     of replaying the whole journal from the admission spec."""
     reference = _reference_results(count=2, slices=8)
     # Capacity above the session count: no evictions, ever.  The crash
@@ -360,6 +361,6 @@ def test_hot_sessions_background_checkpoint_and_warm_restore(tmp_path):
         stats = fleet.stats()
     assert results == reference
     assert stats["evictions"] == 0  # nothing was ever pushed out...
-    assert stats["checkpoints"] > 0  # ...yet spool generations exist
+    assert stats["checkpoints"] > 0  # ...yet spool files exist
     assert stats["worker_crashes"] == 1
     assert stats["respawns"] == 1
