@@ -4,7 +4,7 @@ tier versus the interpretive reference (see ``repro.perf.corebench`` and
 
 from repro.config import INTERPRETED, PRODUCTION
 from repro.perf.corebench import SCENARIOS, run_corebench
-from repro.perf.measure import measure_staged_rate
+from repro.perf.measure import timed
 
 from conftest import report_rows
 
@@ -15,8 +15,9 @@ def test_plan_cache_speedup():
     rows = [
         (
             name, "-",
-            f"{row['speedup']:.2f}x plan, {row['traced_speedup']:.2f}x "
-            f"traced ({row['simulated_cycles']} cycles)",
+            f"{row['speedup']:.2f}x plan, "
+            f"{row.get('traced_speedup', '-')}x traced "
+            f"({row['simulated_cycles']} cycles)",
         )
         for name, row in results.items()
     ]
@@ -39,7 +40,8 @@ def test_core_interpreted_rate(benchmark):
     assert cycles > 0
 
 
-def test_measure_staged_rate_smoke():
-    rate = measure_staged_rate(SCENARIOS["E2_bitblt_copy"](PRODUCTION), repeats=1)
-    assert rate.cycles > 0 and rate.seconds > 0
-    assert rate.cycles_per_second > 0
+def test_timed_smoke():
+    stage = SCENARIOS["E2_bitblt_copy"](PRODUCTION)
+    timing = timed(lambda staged: staged(), repeats=1, setup=stage)
+    assert timing.result > 0 and timing.median > 0
+    assert timing.per_second(timing.result) > 0

@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from ..perf.measure import write_document
 from .bench import run_scaling
 from .programs import build_ring_cluster, ring_epoch_budget
 
@@ -51,13 +52,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         payload_words=args.payload_words,
         epoch_cycles=args.epoch_cycles,
     )
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"benchmark -> {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
+    write_document(args.output, "repro.cluster ring scaling", result)
     return 0 if all(row["verified"] for row in result["scaling"]) else 1
 
 

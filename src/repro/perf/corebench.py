@@ -2,37 +2,29 @@
 
 ``python -m repro.perf.corebench`` times the cycle-stepped core on three
 representative workloads -- the E1 Mesa emulator loop, the E2 BitBlt
-inner loop, and the E4 fast-I/O display service -- under all three
-cycle implementations: the interpretive reference (``INTERPRETED``),
-the decoded execution-plan path (``PLAN_ONLY``), and the compiled-trace
-tier that PRODUCTION layers on top (``repro.core.tracecache``).  It
-writes ``BENCH_core.json`` with the cycles-per-second of each and the
-tier-over-tier speedups.  Only the run phase is timed (see
-:func:`~repro.perf.measure.measure_staged_rate`): microcode assembly
-and machine building are identical across tiers and would otherwise
-dilute the comparison.  The simulated cycle counts are asserted
-identical across all three runs, so the file doubles as a parity
-receipt.
+inner loop, and the E4 fast-I/O display service -- under the
+interpretive reference (``INTERPRETED``), the decoded execution-plan
+path (``PLAN_ONLY``), and the compiled-trace tier that PRODUCTION
+layers on top (``repro.core.tracecache``), and writes ``BENCH_core.json``.
+Every timing comes from :func:`~repro.perf.measure.timed`, with only
+the run phase timed: machine building is identical across tiers and
+would dilute the comparison.  Simulated cycle counts are asserted
+identical across the tiers, so the file doubles as a parity receipt.
 
-The benchmark runs with no instrumentation-bus subscribers attached, so
-it also pins the bus's zero-cost guarantee: an idle bus leaves
-``Processor.trace_hook`` as ``None`` and the plan-cache loop pays the
-same single check it paid before the bus existed.  ``--baseline`` reruns
-the bench and compares against a previously written BENCH_core.json:
-simulated cycle counts must match exactly, and each scenario's speedup
-must not have regressed below the baseline's by more than the tolerance
-(absolute cycles-per-second are host-specific, the speedup *ratio* is
-the portable number).
+The bench runs with no instrumentation-bus subscribers attached, so it
+also pins the bus's zero-cost guarantee: an idle bus leaves
+``Processor.trace_hook`` as ``None``.  ``--baseline`` compares the fresh
+document against a previous BENCH_core.json with
+:func:`~repro.perf.measure.compare_to_baseline` (absolute seconds are
+host-specific; the speedup *ratio* is the portable number).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import platform
 import sys
-import time
-from typing import Callable, Dict, List
+from typing import Callable, Dict, NamedTuple, Tuple
 
 from ..config import PRODUCTION, MachineConfig
 from ..core.processor import Processor
@@ -42,25 +34,35 @@ from ..graphics.bitblt import BitBltFunction, build_bitblt_machine, run_bitblt
 from ..graphics.bitmap import Bitmap
 from ..io.display import DisplayController, display_fast_microcode
 from ..types import MUNCH_WORDS
-from .measure import measure_staged_rate
+from .measure import compare_to_baseline, timed, write_document
 from .workloads import mesa_loop_sum
 
-#: Scenario factories return a *stage* callable: calling it builds a
-#: fresh machine and returns the zero-arg run callable that simulates
-#: and reports cycles.  ``measure_staged_rate`` times only the latter.
+
+class Staged(NamedTuple):
+    """A freshly built scenario machine; calling it simulates to the end."""
+
+    cpu: Processor
+    run: Callable[[], int]  #: simulates and returns the cycle count
+
+    def __call__(self) -> int:
+        return self.run()
 
 
-def _e1_mesa_loop(config: MachineConfig) -> Callable[[], Callable[[], int]]:
+#: Scenario factories return a *stage* callable that builds a fresh
+#: machine; only calling the :class:`Staged` it returns is timed.
+
+
+def _e1_mesa_loop(config: MachineConfig) -> Callable[[], Staged]:
     """E1: the byte-code emulator's load/store/branch loop."""
-    def stage() -> Callable[[], int]:
+    def stage() -> Staged:
         workload = mesa_loop_sum(200, config=config)
-        return workload.run
+        return Staged(workload.ctx.cpu, workload.run)
     return stage
 
 
-def _e2_bitblt(config: MachineConfig) -> Callable[[], Callable[[], int]]:
+def _e2_bitblt(config: MachineConfig) -> Callable[[], Staged]:
     """E2: the BitBlt inner loop (shift-and-merge at full tilt)."""
-    def stage() -> Callable[[], int]:
+    def stage() -> Staged:
         cpu = build_bitblt_machine(config)
         src = Bitmap(cpu.memory, 0x2000, 31, 32)
         dst = Bitmap(cpu.memory, 0x8000, 30, 32)
@@ -72,13 +74,13 @@ def _e2_bitblt(config: MachineConfig) -> Callable[[], Callable[[], int]]:
                 cpu, BitBltFunction.COPY, src_va=0x2000, dst_va=0x8000,
                 words_per_row=30, rows=32, src_pitch=31, dst_pitch=30, shift=5,
             )
-        return run
+        return Staged(cpu, run)
     return stage
 
 
-def _e4_fast_io(config: MachineConfig) -> Callable[[], Callable[[], int]]:
+def _e4_fast_io(config: MachineConfig) -> Callable[[], Staged]:
     """E4: the display's fast-I/O munch service, tasking included."""
-    def stage() -> Callable[[], int]:
+    def stage() -> Staged:
         asm = Assembler(config)
         asm.emit(idle=True)
         display_fast_microcode(asm)
@@ -95,11 +97,11 @@ def _e4_fast_io(config: MachineConfig) -> Callable[[], Callable[[], int]]:
         def run() -> int:
             cpu.run_until(lambda m: display.done, max_cycles=200_000)
             return cpu.counters.cycles
-        return run
+        return Staged(cpu, run)
     return stage
 
 
-SCENARIOS: Dict[str, Callable[[MachineConfig], Callable[[], Callable[[], int]]]] = {
+SCENARIOS: Dict[str, Callable[[MachineConfig], Callable[[], Staged]]] = {
     "E1_mesa_loop_sum": _e1_mesa_loop,
     "E2_bitblt_copy": _e2_bitblt,
     "E4_display_fast_io": _e4_fast_io,
@@ -110,33 +112,50 @@ SCENARIOS: Dict[str, Callable[[MachineConfig], Callable[[], Callable[[], int]]]]
 #: bench and the matrix evaluators always mean the same three machines.
 TIERS = tuple(tier_configs(PRODUCTION).items())
 
+#: Scenarios with no traced column.  E4 stops on a per-cycle predicate
+#: (the display finishing its band) through ``run_until``, which the
+#: trace tier cannot batch: on PRODUCTION it enters no trace at all, so
+#: a traced column would time the plan tier against itself.
+PLAN_ONLY = frozenset({"E4_display_fast_io"})
+
+
+def _simulate(staged: Staged) -> Tuple[int, int]:
+    """The timed call: simulated cycles, and compiled-trace entries."""
+    return staged.run(), staged.cpu._traces.stats()["entries"]
+
 
 def run_corebench(repeats: int = 3) -> Dict[str, dict]:
-    """Measure every scenario under all three cycle implementations."""
+    """Measure every scenario under each of its tiers."""
     results: Dict[str, dict] = {}
     for name, make in SCENARIOS.items():
-        rates = {
-            tier: measure_staged_rate(make(config), repeats=repeats)
+        timings = {
+            tier: timed(_simulate, repeats=repeats, setup=make(config))
             for tier, config in TIERS
+            if not (tier == "traced" and name in PLAN_ONLY)
         }
-        before, after, traced = rates["interp"], rates["plan"], rates["traced"]
-        for tier in ("plan", "traced"):
-            if rates[tier].cycles != before.cycles:
+        cycles = timings["interp"].result[0]
+        row: Dict[str, object] = {"simulated_cycles": cycles}
+        for tier, timing in timings.items():
+            if timing.result[0] != cycles:
                 raise AssertionError(
                     f"{name}: the {tier} tier changed the simulated cycle "
-                    f"count ({before.cycles} != {rates[tier].cycles})"
+                    f"count ({cycles} != {timing.result[0]})"
                 )
-        results[name] = {
-            "simulated_cycles": after.cycles,
-            "before_cycles_per_second": round(before.cycles_per_second),
-            "after_cycles_per_second": round(after.cycles_per_second),
-            "traced_cycles_per_second": round(traced.cycles_per_second),
-            "speedup": round(after.cycles_per_second / before.cycles_per_second, 2),
-            "traced_speedup": round(
-                traced.cycles_per_second / after.cycles_per_second, 2
-            ),
-        }
+            row[f"{tier}_seconds"] = timing.block()
+            row[f"{tier}_cycles_per_second"] = round(timing.per_second(cycles))
+        row["speedup"] = round(timings["interp"].median / timings["plan"].median, 2)
+        if "traced" in timings:
+            row["trace_entries"] = timings["traced"].result[1]
+            row["traced_speedup"] = round(
+                timings["plan"].median / timings["traced"].median, 2
+            )
+        results[name] = row
     return results
+
+
+def _e1_build_and_run() -> int:
+    """Assemble, build and simulate E1 to HALT: a cold start."""
+    return mesa_loop_sum(200).run()
 
 
 def run_warmstart_bench(repeats: int = 3) -> dict:
@@ -144,41 +163,33 @@ def run_warmstart_bench(repeats: int = 3) -> dict:
 
     A "cold" start assembles the Mesa emulator microcode, builds the
     machine, and simulates the workload to HALT; a "warm" start restores
-    a :class:`~repro.state.MachineState` checkpoint of that end state
-    into an existing machine, skipping the simulation entirely.  Every
-    cold repeat must simulate the identical cycle count, and the
-    restored machine must verify the workload's result -- the restore
-    path's correctness receipt.  Wall times are best-of-*repeats*; only
-    the cycle count is portable.
+    a :class:`~repro.state.MachineState` checkpoint of that end state.
+    The restore must land on the cold run's cycle count and verify the
+    workload's result -- the restore path's correctness receipt.
     """
-    cold_best = float("inf")
-    cold_cycles = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        workload = mesa_loop_sum(200)
-        cycles = workload.run()
-        cold_best = min(cold_best, time.perf_counter() - t0)
-        if cold_cycles is not None and cycles != cold_cycles:
-            raise AssertionError(
-                f"cold runs disagree on the simulated cycle count "
-                f"({cold_cycles} != {cycles})"
-            )
-        cold_cycles = cycles
+    cold = timed(_e1_build_and_run, repeats=repeats)
+    workload = mesa_loop_sum(200)
+    workload.run()
     cpu = workload.ctx.cpu
     end_state = cpu.snapshot()
 
-    warm_best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+    def restore() -> int:
         cpu.restore(end_state)
-        warm_best = min(warm_best, time.perf_counter() - t0)
+        return cpu.counters.cycles
+
+    warm = timed(restore, repeats=repeats)
+    if warm.result != cold.result:
+        raise AssertionError(
+            f"restore landed on {warm.result} cycles, the cold run on "
+            f"{cold.result}"
+        )
     if not workload.verify():
         raise AssertionError("restored machine failed workload verification")
     return {
-        "simulated_cycles": cold_cycles,
-        "cold_seconds": round(cold_best, 6),
-        "warm_restore_seconds": round(warm_best, 6),
-        "warm_speedup": round(cold_best / warm_best, 2),
+        "simulated_cycles": cold.result,
+        "cold_seconds": cold.block(),
+        "warm_restore_seconds": warm.block(),
+        "warm_speedup": round(cold.median / warm.median, 2),
     }
 
 
@@ -195,92 +206,41 @@ def run_supervised_bench(repeats: int = 3) -> dict:
 
     The supervised run carries periodic checkpoints and machine-check
     sweeps but no faults, so it must simulate the *identical* cycle
-    count (the supervisor's zero-perturbation guarantee) -- enforced
-    here, making the row a correctness receipt as well as a price tag.
-    The overhead factor is asserted under ``SUPERVISED_OVERHEAD_LIMIT``.
+    count (the supervisor's zero-perturbation guarantee), and its
+    overhead factor is asserted under ``SUPERVISED_OVERHEAD_LIMIT``.
     """
     from ..supervise import Supervisor
 
-    bare_best = float("inf")
-    bare_cycles = None
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        workload = mesa_loop_sum(200)
-        cycles = workload.run()
-        bare_best = min(bare_best, time.perf_counter() - t0)
-        if bare_cycles is not None and cycles != bare_cycles:
-            raise AssertionError(
-                f"bare runs disagree on the simulated cycle count "
-                f"({bare_cycles} != {cycles})"
-            )
-        bare_cycles = cycles
-
-    supervised_best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
+    def supervised_run() -> int:
         workload = mesa_loop_sum(200)
         supervisor = Supervisor(
             workload.ctx.cpu, checkpoint_interval=1500, check_interval=256
         )
         cycles = supervisor.run()
-        supervised_best = min(supervised_best, time.perf_counter() - t0)
-        if cycles != bare_cycles:
-            raise AssertionError(
-                f"supervision perturbed the simulated cycle count "
-                f"({bare_cycles} != {cycles})"
-            )
         if not workload.verify():
             raise AssertionError("supervised run failed workload verification")
-    overhead = supervised_best / bare_best
+        return cycles
+
+    bare = timed(_e1_build_and_run, repeats=repeats)
+    supervised = timed(supervised_run, repeats=repeats)
+    if supervised.result != bare.result:
+        raise AssertionError(
+            f"supervision perturbed the simulated cycle count "
+            f"({bare.result} != {supervised.result})"
+        )
+    overhead = supervised.median / bare.median
     if overhead > SUPERVISED_OVERHEAD_LIMIT:
         raise AssertionError(
             f"supervision overhead {overhead:.2f}x exceeds the "
             f"{SUPERVISED_OVERHEAD_LIMIT}x budget"
         )
     return {
-        "simulated_cycles": bare_cycles,
-        "bare_seconds": round(bare_best, 6),
-        "supervised_seconds": round(supervised_best, 6),
+        "simulated_cycles": bare.result,
+        "bare_seconds": bare.block(),
+        "supervised_seconds": supervised.block(),
         "overhead_factor": round(overhead, 2),
         "overhead_limit": SUPERVISED_OVERHEAD_LIMIT,
     }
-
-
-def compare_to_baseline(
-    results: Dict[str, dict], baseline: Dict[str, dict], tolerance: float = 0.35
-) -> List[str]:
-    """Differences that matter between a fresh run and a baseline file.
-
-    Returns human-readable problem strings (empty = clean): a missing
-    scenario, a simulated-cycle mismatch (a correctness change, never
-    acceptable), or a plan or traced speedup below
-    ``base * (1 - tolerance)`` (a perf regression beyond timing noise).
-    Baselines that predate the traced tier simply lack its column and
-    skip that check -- old files stay usable.  Absolute
-    cycles-per-second are deliberately not compared -- they differ per
-    host.
-    """
-    problems: List[str] = []
-    for name, base in baseline.items():
-        row = results.get(name)
-        if row is None:
-            problems.append(f"{name}: scenario missing from this run")
-            continue
-        if row["simulated_cycles"] != base["simulated_cycles"]:
-            problems.append(
-                f"{name}: simulated cycles changed "
-                f"({base['simulated_cycles']} -> {row['simulated_cycles']})"
-            )
-        for column in ("speedup", "traced_speedup"):
-            if column not in base:
-                continue
-            floor = base[column] * (1.0 - tolerance)
-            if row[column] < floor:
-                problems.append(
-                    f"{name}: {column} regressed ({base[column]}x -> "
-                    f"{row[column]}x, floor {floor:.2f}x)"
-                )
-    return problems
 
 
 def main(argv=None) -> int:
@@ -288,7 +248,8 @@ def main(argv=None) -> int:
     parser.add_argument("--output", default="BENCH_core.json",
                         help="where to write the JSON report")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing runs per scenario (best one wins)")
+                        help="timed runs per measurement (the median is "
+                             "reported), after one untimed warm-up run")
     parser.add_argument("--baseline", default=None, metavar="PATH",
                         help="compare against a previous BENCH_core.json; "
                              "exit nonzero on cycle mismatch or speedup regression")
@@ -297,82 +258,48 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    baseline = baseline_warm = baseline_supervised = None
+    baseline = None
     if args.baseline is not None:
         try:
             with open(args.baseline) as f:
-                doc = json.load(f)
-            baseline = doc["workloads"]
-            baseline_warm = doc.get("warm_start")
-            baseline_supervised = doc.get("supervised_overhead")
-        except (OSError, KeyError, ValueError) as exc:
+                baseline = json.load(f)
+        except (OSError, ValueError) as exc:
             parser.error(f"cannot read baseline {args.baseline}: {exc}")
-    try:
-        output = open(args.output, "w")
-    except OSError as exc:
-        parser.error(f"cannot write {args.output}: {exc}")
+        if not isinstance(baseline, dict) or "workloads" not in baseline:
+            parser.error(f"baseline {args.baseline} has no workloads section")
 
-    results = run_corebench(repeats=args.repeats)
-    warm = run_warmstart_bench(repeats=args.repeats)
-    supervised = run_supervised_bench(repeats=args.repeats)
-    report = {
-        "benchmark": "core simulator cycle rate across the three "
-                     "execution tiers (interp, plan, traced)",
-        "host": {
-            "python": sys.version.split()[0],
-            "platform": platform.platform(),
+    doc = write_document(
+        args.output,
+        "core simulator cycle rate across the three execution tiers "
+        "(interp, plan, traced)",
+        {
+            "workloads": run_corebench(repeats=args.repeats),
+            "warm_start": run_warmstart_bench(repeats=args.repeats),
+            "supervised_overhead": run_supervised_bench(repeats=args.repeats),
         },
-        "workloads": results,
-        "warm_start": warm,
-        "supervised_overhead": supervised,
-    }
-    with output as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
+    )
 
-    width = max(len(n) for n in results) + 2
-    print(
-        f"{'workload':<{width}}{'interp c/s':>12}{'plan c/s':>12}"
-        f"{'traced c/s':>12}{'plan x':>8}{'traced x':>9}"
-    )
-    for name, row in results.items():
-        print(
-            f"{name:<{width}}{row['before_cycles_per_second']:>12}"
-            f"{row['after_cycles_per_second']:>12}"
-            f"{row['traced_cycles_per_second']:>12}"
-            f"{row['speedup']:>7.2f}x{row['traced_speedup']:>8.2f}x"
+    for name, row in doc["workloads"].items():
+        rates = ", ".join(
+            f"{tier} {row[tier + '_cycles_per_second']} c/s"
+            for tier, _ in TIERS if tier + "_cycles_per_second" in row
         )
-    print(
-        f"warm start: cold build+run {warm['cold_seconds']*1e3:.1f} ms, "
-        f"restore {warm['warm_restore_seconds']*1e3:.1f} ms "
-        f"({warm['warm_speedup']:.2f}x)"
-    )
-    print(
-        f"supervision: bare {supervised['bare_seconds']*1e3:.1f} ms, "
-        f"supervised {supervised['supervised_seconds']*1e3:.1f} ms "
-        f"({supervised['overhead_factor']:.2f}x of "
-        f"{supervised['overhead_limit']:.1f}x budget)"
-    )
-    print(f"wrote {args.output}")
+        traced = row.get("traced_speedup")
+        print(f"{name}: {rates}; plan {row['speedup']}x over interp"
+              + (f", traced {traced}x over plan" if traced else ""))
+    print(f"warm start {doc['warm_start']['warm_speedup']}x over cold; "
+          f"supervision {doc['supervised_overhead']['overhead_factor']}x "
+          f"of a {SUPERVISED_OVERHEAD_LIMIT}x budget")
     if baseline is not None:
-        problems = compare_to_baseline(results, baseline, tolerance=args.tolerance)
-        # Sections a baseline predating them simply lacks are skipped with
-        # a warning, never a KeyError -- old baselines stay usable.
-        for section, base_row, row in (
-            ("warm_start", baseline_warm, warm),
-            ("supervised_overhead", baseline_supervised, supervised),
-        ):
-            if base_row is None:
+        # Sections a baseline predating them lacks are skipped with a
+        # warning, never a KeyError -- old baselines stay usable.
+        for section in ("warm_start", "supervised_overhead"):
+            if section not in baseline:
                 print(
                     f"baseline warning: {section} missing from "
                     f"{args.baseline}; skipping its comparison"
                 )
-            elif row["simulated_cycles"] != base_row.get("simulated_cycles"):
-                problems.append(
-                    f"{section}: simulated cycles changed "
-                    f"({base_row.get('simulated_cycles')} -> "
-                    f"{row['simulated_cycles']})"
-                )
+        problems = compare_to_baseline(doc, baseline, tolerance=args.tolerance)
         if problems:
             for p in problems:
                 print(f"BASELINE MISMATCH: {p}")

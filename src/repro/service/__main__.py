@@ -17,11 +17,14 @@ import json
 import sys
 import time
 
+from ..perf.measure import write_document
 from .bench import run_service_bench
 from .chaos import CHAOS_TEMPLATE
 from .fleet import Fleet
 from .frontend import Frontend
-from .loadtest import ROTATION, loadtest_json, run_loadtest, summarize
+from .loadtest import (
+    ROTATION, clean_sessions_verified, loadtest_json, run_loadtest, summarize,
+)
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -83,11 +86,7 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
     report = dict(counts, seconds=round(seconds, 3), **stats)
     print(f"{args.command}: {json.dumps(report, sort_keys=True)}",
           file=sys.stderr)
-    # Unrecovered *faulted* sessions are measurements; a clean session
-    # failing (or not verifying) is a real defect.
-    ok = all(
-        r["verified"] for r in artifact["results"].values() if not r["faulted"]
-    )
+    ok = clean_sessions_verified(artifact)
     if chaos and args.require_counters:
         for counter in args.require_counters.split(","):
             counter = counter.strip()
@@ -107,16 +106,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         slice_cycles=args.slice_cycles,
         seed=args.seed,
     )
-    text = json.dumps(result, indent=2, sort_keys=True) + "\n"
-    if args.output:
-        with open(args.output, "w") as f:
-            f.write(text)
-        print(f"benchmark -> {args.output}", file=sys.stderr)
-    else:
-        print(text, end="")
+    write_document(
+        args.output,
+        "simulation-service fleet (sessions over forked workers)",
+        result,
+    )
     recovery = result["recovery_overhead"]
     ok = (
-        all(row["verified"] > 0 for row in result["scaling"])
+        all(row["clean_verified"] for row in result["scaling"])
+        and recovery["clean_verified"]
         and recovery["artifact_identical"]
         and recovery["within_ceiling"]
     )
@@ -193,8 +191,8 @@ def main(argv=None) -> int:
     bench_p = sub.add_parser("bench", help="scaling + admission sweep")
     bench_p.add_argument("--workers", default="1,2,4",
                          help="comma-separated worker counts")
-    bench_p.add_argument("--sessions", type=int, default=30)
-    bench_p.add_argument("--capacity", type=int, default=8)
+    bench_p.add_argument("--sessions", type=int, default=15)
+    bench_p.add_argument("--capacity", type=int, default=5)
     bench_p.add_argument("--slice-cycles", type=int, default=1200)
     bench_p.add_argument("--seed", type=int, default=17)
     bench_p.add_argument("--output", default=None,

@@ -249,3 +249,15 @@ def summarize(artifact: Dict[str, Any]) -> Dict[str, int]:
         "failed": sum(1 for r in results if r["status"] == "failed"),
         "total_cycles": sum(r["meter"]["cycles"] for r in results),
     }
+
+
+def clean_sessions_verified(artifact: Dict[str, Any]) -> bool:
+    """Whether every session without a fault plan verified its result.
+
+    Unrecovered *faulted* sessions are measurements; a clean session
+    failing (or not verifying) is a real defect.  The loadtest, chaos
+    and bench commands all gate on this.
+    """
+    return all(
+        r["verified"] for r in artifact["results"].values() if not r["faulted"]
+    )

@@ -430,6 +430,43 @@ def test_service_cli_loadtest_and_bench_smoke(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_clean_sessions_verified_flags_one_unverified_clean_session():
+    from repro.service.loadtest import clean_sessions_verified
+
+    results = {
+        "s0000": {"faulted": False, "verified": True},
+        "s0001": {"faulted": True, "verified": False},  # a measurement
+        "s0002": {"faulted": False, "verified": True},
+    }
+    assert clean_sessions_verified({"results": results})
+    results["s0002"]["verified"] = False
+    assert not clean_sessions_verified({"results": results})
+
+
+def test_service_bench_cli_gates_every_scaling_row(tmp_path, monkeypatch):
+    """29 failed clean sessions out of 30 no longer pass the bench."""
+    import repro.service.__main__ as service_cli
+
+    def fake_bench(worker_counts, **_):
+        return {
+            "scaling": [
+                {"workers": w, "verified": 30 if w == 1 else 1,
+                 "clean_verified": w == 1}
+                for w in worker_counts
+            ],
+            "recovery_overhead": {"clean_verified": True,
+                                  "artifact_identical": True,
+                                  "within_ceiling": True},
+        }
+
+    monkeypatch.setattr(service_cli, "run_service_bench", fake_bench)
+    out = str(tmp_path / "bench.json")
+    assert service_cli.main(["bench", "--workers", "1", "--output", out]) == 0
+    assert service_cli.main(["bench", "--workers", "1,2", "--output", out]) == 1
+    doc = json.loads(pathlib.Path(out).read_text())
+    assert set(doc["host"]) == {"python", "platform"}
+
+
 # --------------------------------------------------------------------------
 # robustness satellites (DESIGN.md 5.10): crash detection, request
 # idempotence, and a front end nothing a client sends can kill
