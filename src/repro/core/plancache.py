@@ -9,8 +9,9 @@ literature (Reshadi & Dutt, PAPERS.md), we hoist all of that out of the
 cycle loop: the first time an IM address is fetched it is *compiled*
 into a flat :class:`ExecutionPlan` -- plain ints and bools in
 ``__slots__``, with every PC-relative NEXTPC target precomputed (plans
-are per-slot, so THISPC is a compile-time constant) -- and the hot loop
-executes plans.
+are per-slot, so THISPC is a compile-time constant) -- which the
+emitter in :mod:`repro.core.tracecache` turns into the slot's step
+function, the cycle the hot loop runs.
 
 Invalidation (the paper's section 6.2.3 write paths): any IM rewrite
 must drop the slot's plan.  All three write paths funnel through
@@ -33,10 +34,10 @@ codes (:data:`~repro.core.counters.HOLD_STORAGE` /
 :data:`~repro.core.counters.HOLD_MD` /
 :data:`~repro.core.counters.HOLD_IFU`), checked in the same priority
 order on both cycle paths, so hold-cause attribution is parity-safe.
-Instrumentation stays off this fast path entirely: the plan loop's only
-concession to observers is the one ``trace_hook is not None`` check it
-has always had, and the instrumentation bus compiles down to exactly
-that slot.
+Instrumentation stays off this fast path entirely: a step function's
+only concession to observers is one ``trace_hook is not None`` check
+per cycle, and the instrumentation bus compiles down to exactly that
+slot.
 """
 
 from __future__ import annotations

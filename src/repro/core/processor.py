@@ -23,23 +23,27 @@ instruction normally sees its predecessor's results; with
 instruction deep return stale data -- the Model 0 behaviour whose
 "subtle bugs and significant loss of performance" section 5.6 recounts.
 
-Two implementations of the cycle coexist:
+The cycle is written out twice:
 
 * :meth:`Processor._step_interp` -- the interpretive reference, which
   re-decodes the microword's fields every cycle; and
-* :meth:`Processor._step_plan` -- the fast path, which executes
-  per-slot :class:`~repro.core.plancache.ExecutionPlan` objects compiled
-  on first fetch and invalidated on IM writes (DESIGN.md section 5).
+* the trace emitter (:mod:`repro.core.tracecache`), which turns decoded
+  :class:`~repro.core.plancache.ExecutionPlan` objects into Python.
+  Run over one slot it yields the slot's step function, which
+  :meth:`Processor._step_plan` calls (the plan tier); run over a hot
+  region it yields a trace (the traced tier).  Both are compiled on
+  first use and dropped on IM writes (DESIGN.md sections 5.1 and 5.6).
 
 ``config.plan_cache_enabled`` selects between them; they are
 bit-identical in architectural state, counters, and cycle counts, which
 ``tests/test_fastpath_parity.py`` enforces differentially.
 
-Observability hangs off one slot: both cycle implementations end with a
-single ``trace_hook is None`` check, and the instrumentation bus
-(:attr:`Processor.instruments`, DESIGN.md section 5.3) compiles any
-number of named subscribers -- tracers, profilers, fault listeners --
-into that hook, restoring ``None`` when the last one detaches.  Held
+Observability hangs off one slot: the interpretive cycle and every step
+function make a single ``trace_hook is None`` check per cycle, and the
+instrumentation bus (:attr:`Processor.instruments`, DESIGN.md section
+5.3) compiles any number of named subscribers -- tracers, profilers,
+fault listeners -- into that hook, restoring ``None`` when the last one
+detaches.  Held
 cycles are attributed by cause (storage busy / MEMDATA wait / IFU wait)
 in :class:`~repro.core.counters.Counters.hold_causes`, identically on
 both paths.
@@ -66,7 +70,6 @@ from .microword import (
     ASel,
     BSel,
     Condition,
-    LoadControl,
     MicroInstruction,
     Misc,
     NextControl,
@@ -74,43 +77,7 @@ from .microword import (
     constant_value,
 )
 from .nextpc import ControlSection, NextOutcome
-from .plancache import (
-    A_IFU,
-    A_MD,
-    A_Q,
-    A_RM,
-    A_T,
-    B_CONST,
-    B_Q,
-    B_RM,
-    B_T,
-    EXTB_CPREG,
-    EXTB_IFUDATA,
-    EXTB_IFUPC,
-    EXTB_LINK,
-    EXTB_MD,
-    EXTB_THISTASK,
-    NEXT_BRANCH,
-    NEXT_CALL,
-    NEXT_DISPATCH8,
-    NEXT_DISPATCH256,
-    NEXT_MACRO,
-    NEXT_NOTIFY,
-    NEXT_RETURN,
-    NEXT_STATIC,
-    REF_FETCH,
-    REF_IOFETCH,
-    REF_IOSTORE,
-    REF_STORE,
-    RES_LSH,
-    RES_RSH,
-    RES_SHIFT_MASKMD,
-    RES_SHIFT_MASKZ,
-    RES_SHIFT_OUT,
-    ExecutionPlan,
-    MicrostoreImage,
-    compile_plan,
-)
+from .plancache import ExecutionPlan, MicrostoreImage, compile_plan
 from .registers import RegisterFile
 from .tracecache import TraceCache
 from .shifter import ShiftControl, shift, shift_masked
@@ -577,6 +544,7 @@ class Processor:
                     before = counters.cycles
                     fn(self, limit - before)
                     if counters.cycles != before:
+                        cache.cycles += counters.cycles - before
                         continue
                     # Zero progress: a fast-mode entry guard failed or
                     # the budget is smaller than one loop iteration.
@@ -647,313 +615,20 @@ class Processor:
         return plan
 
     def _step_plan(self) -> None:
-        """One cycle through the plan cache.
+        """One cycle through the plan tier: the slot's step function.
 
-        Same observable behaviour as :meth:`_step_interp`, with decode
-        hoisted to compile time and the cycle tail (counters, TPC, the
-        NEXT decision, clock ticks, arbitration) inlined.
+        A step function is the trace emitter run over this one slot
+        (:meth:`~repro.core.tracecache.TraceCache.step_fn`), compiled on
+        first fetch and dropped with the traces; it is observationally
+        identical to :meth:`_step_interp`, ``trace_hook`` included.
         """
-        pipe = self.pipe
-        task = pipe.this_task
+        task = self.pipe.this_task
         pc = self.this_pc
-        plan = self._plans[pc]
-        if plan is None:
-            plan = self._get_plan(pc, task)
-        memory = self.memory
-
-        # --- Hold (section 5.7); mirrors _check_hold, cause included.
-        held = False
-        if not plan.hold_none:
-            if plan.hold_fastio and memory.storage_busy:
-                held = True
-                hold_cause = HOLD_STORAGE
-            elif plan.hold_md and not memory.md_ready(task):
-                held = True
-                hold_cause = HOLD_MD
-            elif plan.hold_nextmacro and not self.ifu.dispatch_ready:
-                held = True
-                hold_cause = HOLD_IFU
-        if held:
-            self._consecutive_holds += 1
-            if self._consecutive_holds > (self._hold_limit or HOLD_LIMIT):
-                raise self._hold_timeout(task, pc, hold_cause)
-            self.counters.hold_causes[hold_cause - 1] += 1
-            next_pc = pc  # "no operation, jump to self"
-            blocked = False
-            if self._pending:
-                self._commit_pending()  # clocks keep running (section 5.7)
-        else:
-            self._consecutive_holds = 0
-            next_pc, blocked = self._execute_plan(plan, task, pc)
-
-        counters = self.counters
-        counters.cycles += 1
-        counters.task_cycles[task] += 1
-        if held:
-            counters.held_cycles += 1
-            counters.task_held[task] += 1
-        else:
-            counters.instructions += 1
-            counters.task_instructions[task] += 1
-        if self.trace_hook is not None:
-            self.trace_hook(self.now, pc, plan.inst, held)
-
-        # TPC is written every cycle with THISTASKNEXTPC (section 6.2.2);
-        # then the NEXT decision (TaskPipeline.decide_next, inlined).
-        tpc = pipe.tpc
-        tpc[task] = next_pc
-        best = pipe.best_task
-        if blocked:
-            counters.blocks += 1
-            pipe.ready &= ~(1 << task)
-            nxt = best
-        elif best > task:
-            pipe.ready |= 1 << task
-            nxt = best
-        else:
-            nxt = task
-        pipe.ready &= ~(1 << nxt)
-        pipe.this_task = nxt
-        if nxt != task:
-            counters.task_switches += 1
-        self.this_pc = tpc[nxt]
-
-        # Devices observe the NEXT published at the end of the *previous*
-        # cycle (the two-instruction minimum of section 6.2.1).
-        granted_task = self._published_next
-        self._published_next = nxt
-        for device in self._devices:
-            device.tick(self, granted=(granted_task == device.task))
-
-        # Clock the memory and the IFU; both reduce to now += 1 when
-        # nothing is in flight.
-        if memory._fast_in_flight:
-            memory.tick()
-        else:
-            memory.now += 1
-        ifu = self.ifu
-        if ifu.running:
-            ifu.tick()
-        else:
-            ifu.now += 1
-        self.now += 1
-
-        # Stage 1 of the task pipeline (TaskPipeline.arbitrate, inlined).
-        requests = pipe.lines | pipe.ready
-        best = requests.bit_length() - 1 if requests else EMULATOR_TASK
-        pipe.best_task = best
-        pipe.best_pc = tpc[best]
-
-    def _execute_plan(self, plan: ExecutionPlan, task: int, pc: int) -> Tuple[int, bool]:
-        """Execute one compiled instruction; mirrors :meth:`_execute`."""
-        regs = self.regs
-        memory = self.memory
-        pending = self._pending
-        bypass = self.config.bypass_enabled
-        ff = plan.ff
-        stack_op = plan.block and task == EMULATOR_TASK
-        # Every MD use sees the value as of this instruction's operand
-        # fetch, even if the instruction also starts a new reference.
-        md_before = memory._refs[task].md_value
-
-        # --- operand reads (first half cycle), through the bypass network.
-        if stack_op:
-            rm_value = self.stack.read_top()
-        else:
-            rm_addr = ((regs.rbase[task] & 0xF) << 4) | plan.rsel
-            rm_value = pending.get(rm_addr) if bypass else None
-            if rm_value is None:
-                rm_value = regs.rm[rm_addr]
-        t_value = pending.get(T_KEY_BASE + task) if bypass else None
-        if t_value is None:
-            t_value = regs.t[task]
-
-        # --- B bus.
-        b_kind = plan.b_kind
-        if b_kind == B_CONST:
-            b_value = plan.b_const
-        elif b_kind == B_RM:
-            b_value = rm_value
-        elif b_kind == B_T:
-            b_value = t_value
-        elif b_kind == B_Q:
-            b_value = regs.q
-        else:  # EXTB: the plan names the external source.
-            extb = plan.extb_kind
-            if extb == EXTB_MD:
-                b_value = md_before
-            elif extb == EXTB_IFUDATA:
-                b_value = self.ifu.read_operand()
-            elif extb == EXTB_CPREG:
-                b_value = self.console.cpreg
-            elif extb == EXTB_LINK:
-                b_value = word(self.control.link[task])
-            elif extb == EXTB_IFUPC:
-                b_value = word(self.ifu.pc)
-            elif extb == EXTB_THISTASK:
-                b_value = task
-            else:  # INPUT, FAULTS, or a mis-encoded selector
-                b_value = self._read_extb(task, ff)
-
-        # --- A bus (MEMADDRESS is a copy of A).
-        a_kind = plan.a_kind
-        if a_kind == A_RM:
-            a_value = rm_value
-        elif a_kind == A_T:
-            a_value = t_value
-        elif a_kind == A_MD:
-            a_value = md_before
-        elif a_kind == A_IFU:
-            a_value = self.ifu.read_operand()
-        else:  # A_Q
-            a_value = regs.q
-
-        # Operand reads are done: the previous instruction's results (if
-        # any) land in the RAMs now (Figure 2).
-        if pending:
-            rm = regs.rm
-            t = regs.t
-            for key, value in pending.items():
-                if key < T_KEY_BASE:
-                    rm[key] = value
-                else:
-                    t[key - T_KEY_BASE] = value & 0xFFFF
-            pending.clear()
-
-        # --- ALU (direct-dispatch closure; same facts as AluResult).
-        alu_value, carry, overflow, arithmetic = self.alu.fast_ops[plan.aluop](
-            a_value, b_value, regs.saved_carry[task]
-        )
-        if arithmetic:
-            regs.saved_carry[task] = carry
-
-        # --- RESULT bus: ALU output unless an FF source overrides it.
-        result = alu_value
-        res_kind = plan.res_kind
-        if res_kind:
-            if res_kind == RES_SHIFT_OUT:
-                result = shift(ShiftControl.decode(regs.shiftctl), rm_value, t_value)
-            elif res_kind == RES_SHIFT_MASKZ:
-                result = shift_masked(
-                    ShiftControl.decode(regs.shiftctl), rm_value, t_value, 0
-                )
-            elif res_kind == RES_SHIFT_MASKMD:
-                result = shift_masked(
-                    ShiftControl.decode(regs.shiftctl), rm_value, t_value, md_before
-                )
-            elif res_kind == RES_LSH:
-                result = (alu_value << 1) & 0xFFFF
-            elif res_kind == RES_RSH:
-                result = (alu_value >> 1) & 0xFFFF
-            else:  # RES_OTHER: the READ_* family
-                override = self._result_override(
-                    task, ff, rm_value, t_value, a_value, b_value, alu_value
-                )
-                if override is not None:
-                    result = override
-
-        # --- memory reference start (address = A, store data = B).
-        ref_kind = plan.ref_kind
-        if ref_kind:
-            membase = regs.membase[task]
-            if ref_kind == REF_FETCH:
-                memory.start_fetch(task, membase, a_value)
-            elif ref_kind == REF_STORE:
-                memory.start_store(task, membase, a_value, b_value)
-            elif ref_kind == REF_IOFETCH:
-                port = self._device_by_task.get(task)
-                if port is None:
-                    raise DeviceError(
-                        f"task {task} started fast I/O with no device attached"
-                    )
-                memory.start_fastio_fetch(task, membase, a_value, port)
-            elif ref_kind == REF_IOSTORE:
-                port = self._device_by_task.get(task)
-                if port is None:
-                    raise DeviceError(
-                        f"task {task} started fast I/O with no device attached"
-                    )
-                memory.start_fastio_store(task, membase, a_value, port)
-            else:  # REF_BAD: raise the exact interpretive error
-                self._start_reference(plan.inst, task, a_value, b_value, plan.ff_is_function)
-
-        # --- late branch condition (ORed into NEXTPC's low bit).
-        condition_taken = False
-        cond = plan.cond
-        if cond >= 0:
-            if cond == 0:  # ALU_ZERO
-                condition_taken = alu_value == 0
-            elif cond == 1:  # ALU_NONZERO
-                condition_taken = alu_value != 0
-            elif cond == 2:  # ALU_NEG
-                condition_taken = alu_value >= 0x8000
-            elif cond == 3:  # CARRY
-                condition_taken = carry
-            elif cond == 4:  # COUNT_NONZERO, with the decrement side effect
-                condition_taken = regs.count != 0
-                regs.count = (regs.count - 1) & 0xFFFF
-            elif cond == 5:  # R_ODD
-                condition_taken = bool(result & 1)
-            elif cond == 7:  # OVERFLOW
-                condition_taken = overflow
-            else:  # IOATN
-                device = self._device_by_address.get(regs.ioaddress[task])
-                condition_taken = bool(device is not None and device.attention)
-
-        # --- FF side effects.
-        if plan.ff_effect:
-            self._apply_ff(plan.inst, task, ff, b_value, a_value, result, md_before)
-
-        # --- NEXTPC (targets precomputed per slot; see compile_plan).
-        consumed = plan.consumes_ifu
-        next_kind = plan.next_kind
-        if next_kind == NEXT_STATIC:
-            next_pc = plan.next_target
-        elif next_kind == NEXT_BRANCH:
-            next_pc = plan.next_target | (1 if condition_taken else 0)
-        elif next_kind == NEXT_MACRO:
-            if consumed:
-                self.ifu.consume_operand()
-                consumed = False
-            next_pc = self.ifu.take_dispatch()
-        elif next_kind == NEXT_CALL:
-            self.control.link[task] = plan.link_value
-            next_pc = plan.next_target
-        elif next_kind == NEXT_RETURN:
-            link = self.control.link
-            next_pc = link[task]
-            link[task] = plan.link_value
-        elif next_kind == NEXT_DISPATCH8:
-            next_pc = (plan.next_target + (b_value & 0x7)) & self.control.im_mask
-        elif next_kind == NEXT_DISPATCH256:
-            next_pc = (plan.next_target + (b_value & 0xFF)) & self.control.im_mask
-        elif next_kind == NEXT_NOTIFY:
-            next_pc = plan.next_target
-            self.console.record_notify(pc)
-        else:  # NEXT_BAD: mis-encoded; the reference path raises
-            self.control.compute(
-                plan.inst, pc, task, condition_taken, b_value, plan.ff_is_function
-            )
-            raise AssertionError("NEXT_BAD plan failed to raise")
-        if consumed:
-            self.ifu.consume_operand()
-
-        # --- writeback: stage this instruction's result in the latch.
-        # The RM address is recomputed because an FF (RBASE_B) may have
-        # changed RBASE this very instruction.
-        if stack_op:
-            self.stack.adjust(plan.stack_delta)
-            if plan.loads_rm:
-                self.stack.write_top(result)
-            if plan.loads_t:
-                pending[T_KEY_BASE + task] = result
-        else:
-            if plan.loads_rm:
-                pending[((regs.rbase[task] & 0xF) << 4) | plan.rsel] = result
-            if plan.loads_t:
-                pending[T_KEY_BASE + task] = result
-
-        return next_pc, plan.block and task != EMULATOR_TASK
+        traces = self._traces
+        fn = traces.steps.get((task, pc))
+        if fn is None:
+            fn = traces.step_fn(task, pc)
+        fn(self)
 
     # ------------------------------------------------------------------
     # hold evaluation (section 5.7)

@@ -1,37 +1,43 @@
-"""Compiled-trace execution: hot plan runs specialized into Python source.
+"""Compiled execution: plans specialized into Python source.
 
-The plan cache (:mod:`repro.core.plancache`) hoists microword *decode*
-out of the cycle loop but still pays one Python dispatch per field per
-cycle: every cycle re-tests ``b_kind``/``a_kind``/``res_kind``/
-``next_kind`` even though the instruction at a given IM slot never
-changes between invalidations.  Following the compiled-simulation
-literature (Reshadi & Dutt, PAPERS.md), this module removes that last
-dispatch layer for *hot* code: when the run loop observes the same
-back-edge ``(task, entry_pc)`` often enough it records one pass through
-the region, emits specialized Python source for the whole trace -- plan
-fields folded to literals, the ALUFM operation and FF side effect of
-each step inlined as straight-line arithmetic, the shifter decoded once
-per SHIFTCTL value, the bypass-latch commit specialized to the
-statically known writes of the predecessor step, and the cycle tail
-(counters, TPC, the NEXT decision, clock ticks, arbitration) reduced to
-what the recorded schedule can actually observe -- ``exec``\\ s it, and
-caches the closure.  ``Processor._run_traced`` then executes traces
-from its hot loop and falls back to the plan interpreter everywhere
-else.
+An :class:`~repro.core.plancache.ExecutionPlan` hoists microword
+*decode* out of the cycle loop; this module removes the per-field
+*dispatch* as well.  Following the compiled-simulation literature
+(Reshadi & Dutt, PAPERS.md) one emitter turns plans into straight-line
+Python -- plan fields folded to literals, the ALUFM operation and FF
+side effect of each step inlined, the shifter decoded once per SHIFTCTL
+value, the bypass-latch commit specialized to the statically known
+writes of the predecessor step, and the cycle tail (counters, TPC, the
+NEXT decision, clock ticks, arbitration) reduced to what the schedule
+can actually observe -- ``exec``\\ s it, and caches the closure.  It
+serves both fast tiers:
+
+* the plan tier: run over one IM slot, it yields the slot's *step
+  function* ``step(cpu)`` (:meth:`TraceCache.step_fn`), one cycle with
+  the general multi-task tail, which ``Processor._step_plan`` calls;
+* the traced tier: when the run loop observes the same back-edge
+  ``(task, entry_pc)`` often enough it records one pass through the
+  region and the emitter compiles the whole trace, which
+  ``Processor._run_traced`` executes from its hot loop, stepping
+  through step functions everywhere else.
 
 Correctness contract (DESIGN.md section 5.6):
 
-* A trace is a pure transliteration of ``Processor._step_plan`` for a
-  recorded sequence of plans.  Every architectural effect -- bypass
-  latch commits, saved carry, hold-cause attribution, device ticks,
-  memory/IFU clocks, task arbitration -- happens cycle-exactly, so the
-  three-way differential matrix in ``tests/test_fastpath_parity.py``
-  (interp vs plan vs traced) stays bit-identical, counters included.
+* Generated code is a transliteration of ``Processor._step_interp``
+  for a recorded sequence of plans.  Every architectural effect --
+  bypass latch commits, saved carry, hold-cause attribution, device
+  ticks, memory/IFU clocks, task arbitration -- happens cycle-exactly,
+  so the three-way differential matrix in
+  ``tests/test_fastpath_parity.py`` (interp vs plan vs traced) stays
+  bit-identical, counters included.
 * Traces *batch* only values nothing else can observe mid-trace: the
   cycle counters, ``this_pc``, ``now`` and ``_published_next`` live in
   locals and are flushed in a ``finally``, so even a mid-cycle
   exception (HoldTimeout, an injected TransientFault, a DeviceError)
-  leaves the machine byte-identical to the plan path's.
+  leaves the machine byte-identical to the plan path's.  A step
+  function batches nothing: it writes that state in place, in the
+  interpreter's order, and calls ``trace_hook`` where the interpreter
+  does -- counters updated, TPC not yet written.
 * The *single-task fast tail*.  When the trace belongs to the emulator
   task and compile-time state proves no other task can become runnable
   (no devices attached, no fault task, no fault injector, no
@@ -48,12 +54,14 @@ Correctness contract (DESIGN.md section 5.6):
   dynamic NEXTPC (branch, IFU dispatch, return, B-dispatch) diverges
   from the recorded path, or the cycle budget is spent.  Traces are
   never *entered* while a ``trace_hook`` is installed (instrumentation
-  sees every cycle interpretively) or while a memory fault is latched.
+  sees every cycle, through step functions) or while a memory fault is
+  latched.
 * Invalidation.  Any IM write -- console, bootstrap loader,
   ``load_image``, direct pokes, slices -- funnels through
   ``MicrostoreImage.__setitem__`` into ``Processor._invalidate_plan``,
-  which calls :meth:`TraceCache.invalidate_all`: traces, hot counts,
-  the blacklist and any in-flight recording are all dropped.  The only
+  which calls :meth:`TraceCache.invalidate_all`: traces, step
+  functions, hot counts, the blacklist and any in-flight recording are
+  all dropped.  The only
   *in-run* IM write path (FF ``IM_WRITE_HI``) is excluded from traces
   entirely, so generated code can never run stale.  Because traces
   inline ALUFM semantics, FF ``ALUFM_WRITE`` is likewise untraceable
@@ -66,25 +74,27 @@ Correctness contract (DESIGN.md section 5.6):
   ``BREAKPOINT`` (its message reads ``this_pc``, which is batched), FF
   ``IM_WRITE_HI`` and ``ALUFM_WRITE`` (self-modifying code), and fast
   I/O with no device attached end a recording; the trace covers the
-  prefix.  A recording that reaches a pc it has already recorded (an
+  prefix, and such a slot's step function is the interpretive cycle
+  itself.  A recording that reaches a pc it has already recorded (an
   inner loop) is cut short too, so inner loops compile as compact loop
   traces instead of being unrolled into the enclosing region.
-* Compilation is memoized process-wide on the generated source text:
-  two machines that get identical microcode hot in the same places
-  share code objects (each still ``exec``\\ s into its own namespace,
-  so closures and their environments are never shared).
+* Compilation is memoized process-wide, traces on the generated source
+  text and step functions on the emitter's inputs: two machines that
+  run identical microcode share code objects (each still ``exec``\\ s
+  into its own namespace, so closures and their environments are never
+  shared).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple
+from operator import attrgetter
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from .alu import AluFunc, CarryIn
 from .functions import FF, bank_argument, is_count_small, is_membase_small
 from .plancache import (
     A_IFU,
     A_MD,
-    A_Q,
     A_RM,
     A_T,
     B_CONST,
@@ -182,11 +192,16 @@ _LOGICAL_ALU = {
     AluFunc.ZERO: "0",
 }
 
-#: Process-wide ``compile()`` memo keyed by (filename, source): fresh
-#: machines that heat up the same microcode skip recompilation (the
-#: dominant cold-start cost).  Closures are still per-machine.
-_COMPILE_MEMO: Dict[Tuple[str, str], object] = {}
-_COMPILE_MEMO_LIMIT = 512
+#: Process-wide ``compile()`` memo of ``(code, source)``, keyed by
+#: (filename, body) for traces -- the bindings are a function of the
+#: body, and the filename names the task -- and by the emitter's inputs
+#: for step functions: fresh machines that run the same microcode skip
+#: recompilation (the dominant cold-start cost).  Closures are still
+#: per-machine.  When full, the oldest entry goes; the limit holds a
+#: whole ``core_long`` block's traces and step functions with room to
+#: spare.
+_COMPILE_MEMO: Dict[tuple, object] = {}
+_COMPILE_MEMO_LIMIT = 2048
 
 
 def plan_traceable(plan: ExecutionPlan, task: int, cpu) -> bool:
@@ -202,11 +217,11 @@ def plan_traceable(plan: ExecutionPlan, task: int, cpu) -> bool:
 
 
 class _Writer:
-    """Tiny indentation-tracking source emitter."""
+    """Tiny indentation-tracking emitter of a function body."""
 
     def __init__(self) -> None:
         self.lines: List[str] = []
-        self.depth = 0
+        self.depth = 1
 
     def emit(self, line: str = "") -> None:
         self.lines.append("    " * self.depth + line if line else "")
@@ -224,10 +239,19 @@ class _Writer:
 class _Ctx:
     """Per-trace analysis shared by the step emitters."""
 
-    def __init__(self, cpu, task: int, entry: int, steps, loop: bool) -> None:
+    def __init__(self, cpu, task: int, entry: int, steps, loop: bool, step: bool) -> None:
         self.task = task
         self.entry = entry
         self.loop = loop
+        #: A step function: one cycle, no batching -- the cycle state
+        #: (counters, ``this_pc``, ``now``, ``_published_next``, the
+        #: hold count) is written in place, in the reference's order,
+        #: and ``trace_hook`` is called where the reference calls it.
+        self.step = step
+        self.tp = "cpu.this_pc" if step else "tp"
+        self.pub = "cpu._published_next" if step else "pub"
+        self.now = "cpu.now" if step else "now_"
+        self.ch = "cpu._consecutive_holds" if step else "ch"
         self.rbit = 1 << task
         self.tkey = 256 + task  # T_KEY_BASE + task
         self.bypass = cpu.config.bypass_enabled
@@ -284,7 +308,8 @@ class _Ctx:
         #: task runnable (task 0's own wakeup line is permanent, so
         #: with the entry guard arbitration returns task 0 forever).
         self.fast = (
-            task == EMULATOR_TASK
+            not step
+            and task == EMULATOR_TASK
             and not self.devices
             and cpu._fault_task is None
             and cpu.memory.injector is None
@@ -319,6 +344,45 @@ class _Ctx:
         return "mb0" if self.mb_stable else f"mb[{self.task}]"
 
 
+def _device_env(cpu) -> Dict[str, object]:
+    """The namespace entries every generated function may read."""
+    env: Dict[str, object] = {"SCdecode": ShiftControl.decode}
+    for j, device in enumerate(cpu._devices):
+        env[f"D{j}"] = device
+    return env
+
+
+def compile_step(cpu, task: int, pc: int, plan: ExecutionPlan):
+    """Codegen the step function ``step(cpu)`` for *plan* at *pc*.
+
+    The trace emitter run over one step: non-loop, general tail, no
+    batching.  The code object is memoized on everything the emitter
+    reads for a single step -- the plan's fields, the task and slot,
+    the config facts, the device roster's tasks and the ALUFM entry --
+    so a fresh machine pays one ``exec`` per slot, not a codegen.
+    """
+    key = (
+        "step", task, pc, _plan_fields(plan), cpu.config.bypass_enabled,
+        cpu.control.im_mask, cpu._hold_limit,
+        tuple(device.task for device in cpu._devices), cpu.alu._alufm[plan.aluop],
+    )
+    env = _device_env(cpu)
+    env["INST"] = env["I0"] = plan.inst
+    if plan.ref_kind in (REF_IOFETCH, REF_IOSTORE):
+        env["PORT"] = cpu._device_by_task[task]
+
+    def body() -> str:
+        w = _Writer()
+        ctx = _Ctx(cpu, task, pc, [(pc, plan)], loop=False, step=True)
+        _emit_step(w, env, ctx, 0, pc, plan, None)
+        return w.render()
+
+    code, _ = _compiled(key, f"<step task{task} pc{pc:#o}>", "step(cpu)", task, body)
+    namespace = dict(env)
+    exec(code, namespace)
+    return namespace["step"]
+
+
 def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     """Codegen one trace into ``(closure, source)``.
 
@@ -328,21 +392,11 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     place instead of returning after one pass).
     """
     w = _Writer()
-    ctx = _Ctx(cpu, task, entry, steps, loop)
-    env: Dict[str, object] = {}
-    if ctx.has_shift:
-        env["SCdecode"] = ShiftControl.decode
-    for j, device in enumerate(ctx.devices):
-        env[f"D{j}"] = device
+    ctx = _Ctx(cpu, task, entry, steps, loop, step=False)
+    env = _device_env(cpu)
 
-    w.emit("def trace(cpu, budget):")
-    w.indent()
-    # Bindings the fast-mode entry guards read come first: a failed
-    # guard returns having touched nothing, and the run loop takes the
-    # plan path for that cycle.
-    w.emit("pipe = cpu.pipe")
-    w.emit("memory = cpu.memory")
-    w.emit("ifu = cpu.ifu")
+    # Fast-mode entry guards: a failed guard returns having touched
+    # nothing, and the run loop takes the plan path for that cycle.
     if ctx.fast:
         w.emit(f"if pipe.lines | pipe.ready != {ctx.rbit}: return")
         w.emit("if memory._fast_in_flight: return")
@@ -351,51 +405,7 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
     if ctx.inline_refs:
         # The inlined hit path assumes no armed one-shot map fault; a
         # restored state could carry one even with the injector off.
-        w.emit("trans = memory.translator")
         w.emit("if trans.inject_next is not None: return")
-        w.emit("_pmap = trans.map")
-        w.emit("_bases = trans.bases")
-        w.emit("_bmask = trans._base_mask")
-        w.emit("_cache = memory.cache")
-        w.emit("_sets = _cache.sets")
-        w.emit("_nsets = _cache.num_sets")
-        w.emit("_size = memory.storage.size")
-    w.emit("tpc = pipe.tpc")
-    w.emit("regs = cpu.regs")
-    w.emit("rml = regs.rm")
-    w.emit("tl = regs.t")
-    w.emit("sc = regs.saved_carry")
-    w.emit("rb = regs.rbase")
-    w.emit("mb = regs.membase")
-    w.emit(f"ref = memory._refs[{task}]")
-    w.emit("pending = cpu._pending")
-    w.emit("counters = cpu.counters")
-    w.emit("stack = cpu.stack")
-    w.emit("link = cpu.control.link")
-    w.emit("console = cpu.console")
-    if ctx.uses_ioatn:
-        w.emit("devmap = cpu._device_by_address")
-        w.emit("ioaddr = regs.ioaddress")
-    if ctx.rbk_stable:
-        w.emit(f"rbk = (rb[{task}] & 15) << 4")
-    if ctx.mb_stable and ctx.has_ref:
-        w.emit(f"mb0 = mb[{task}]")
-    if ctx.has_shift:
-        # Per-trace SHIFTCTL decode cache (reset by FF SHIFTCTL_B).
-        w.emit("_scv = -1")
-    w.emit("tp = cpu.this_pc")
-    w.emit("pub = cpu._published_next")
-    w.emit("now_ = cpu.now")
-    if ctx.fast:
-        w.emit("mnow = memory.now")
-    w.emit("ch = cpu._consecutive_holds")
-    if ctx.fast:
-        w.emit("cyc = 0; ins = 0; hld = 0")
-    else:
-        w.emit("cyc = 0; ins = 0; hld = 0; blk = 0; sw = 0")
-    if ctx.inline_refs:
-        w.emit("mf = 0; ms = 0; chit = 0")
-    w.emit("h1 = 0; h2 = 0; h3 = 0")
     w.emit("try:")
     w.indent()
     if ctx.lazy:
@@ -462,19 +472,96 @@ def compile_trace(cpu, task: int, entry: int, steps, loop: bool):
         if not ctx.uses_ifu:
             w.emit("ifu.now += cyc")
     w.emit("cpu._consecutive_holds = ch")
-    w.dedent()
-
-    source = w.render()
+    body = w.render()
     filename = f"<trace task{task} pc{entry:#o}>"
-    memo_key = (filename, source)
-    code = _COMPILE_MEMO.get(memo_key)
-    if code is None:
-        if len(_COMPILE_MEMO) >= _COMPILE_MEMO_LIMIT:
-            _COMPILE_MEMO.clear()
-        code = _COMPILE_MEMO[memo_key] = compile(source, filename, "exec")
+    code, source = _compiled(
+        (filename, body), filename, "trace(cpu, budget)", task, lambda: body
+    )
     namespace = dict(env)
     exec(code, namespace)
     return namespace["trace"], source
+
+
+#: Maps every ASCII character that cannot be part of a name to a space,
+#: so ``str.split`` yields a source's names (and number literals).
+_NAMES = str.maketrans(
+    {i: " " for i in range(128) if not (chr(i).isalnum() or chr(i) == "_")}
+)
+
+#: Entry bindings in dependency order, ``{task}`` filled in per trace,
+#: each with the names its expression reads.  Pure reads and initial
+#: values only: ``_source`` emits just the ones the generated body (or a
+#: binding it keeps) names, so a step function binds a handful where a
+#: long trace binds them all.
+_BINDINGS = tuple(
+    (name, expr, frozenset(expr.translate(_NAMES).split()))
+    for name, expr in (
+        ("pipe", "cpu.pipe"),
+        ("memory", "cpu.memory"),
+        ("ifu", "cpu.ifu"),
+        ("tpc", "pipe.tpc"),
+        ("regs", "cpu.regs"),
+        ("rml", "regs.rm"),
+        ("tl", "regs.t"),
+        ("sc", "regs.saved_carry"),
+        ("rb", "regs.rbase"),
+        ("mb", "regs.membase"),
+        ("ref", "memory._refs[{task}]"),
+        ("pending", "cpu._pending"),
+        ("counters", "cpu.counters"),
+        ("stack", "cpu.stack"),
+        ("link", "cpu.control.link"),
+        ("console", "cpu.console"),
+        ("devmap", "cpu._device_by_address"),
+        ("ioaddr", "regs.ioaddress"),
+        ("trans", "memory.translator"),
+        ("_pmap", "trans.map"),
+        ("_bases", "trans.bases"),
+        ("_bmask", "trans._base_mask"),
+        ("_cache", "memory.cache"),
+        ("_sets", "_cache.sets"),
+        ("_nsets", "_cache.num_sets"),
+        ("_size", "memory.storage.size"),
+        ("rbk", "(rb[{task}] & 15) << 4"),
+        ("mb0", "mb[{task}]"),
+        # Per-trace SHIFTCTL decode cache (reset by FF SHIFTCTL_B).
+        ("_scv", "-1"),
+        ("tp", "cpu.this_pc"),
+        ("pub", "cpu._published_next"),
+        ("now_", "cpu.now"),
+        ("mnow", "memory.now"),
+        ("ch", "cpu._consecutive_holds"),
+        ("cyc", "0"), ("ins", "0"), ("hld", "0"), ("blk", "0"), ("sw", "0"),
+        ("mf", "0"), ("ms", "0"), ("chit", "0"),
+        ("h1", "0"), ("h2", "0"), ("h3", "0"),
+    )
+)
+
+
+def _source(signature: str, body: str, task: int) -> str:
+    """*body* under ``def signature:`` and the bindings it uses."""
+    used = set(body.translate(_NAMES).split())
+    prologue = []
+    for binding, expr, reads in reversed(_BINDINGS):
+        if binding in used:
+            used |= reads
+            prologue.append(f"    {binding} = {expr.format(task=task)}\n")
+    return f"def {signature}:\n" + "".join(reversed(prologue)) + body
+
+
+def _compiled(key, filename: str, signature: str, task: int, body: Callable[[], str]):
+    """``(code, source)`` of a generated function, memoized on *key*
+    (*body* renders the function body; it runs only on a miss)."""
+    hit = _COMPILE_MEMO.get(key)
+    if hit is None:
+        if len(_COMPILE_MEMO) >= _COMPILE_MEMO_LIMIT:
+            del _COMPILE_MEMO[next(iter(_COMPILE_MEMO))]  # the oldest entry
+        source = _source(signature, body(), task)
+        hit = _COMPILE_MEMO[key] = (compile(source, filename, "exec"), source)
+    return hit
+
+
+_plan_fields = attrgetter(*ExecutionPlan.__slots__[1:])
 
 
 def _emit_commit(w: _Writer, ctx: _Ctx) -> None:
@@ -638,20 +725,33 @@ def _emit_tail_general(
 ) -> None:
     """Counters + TPC + NEXT decision + clocks + arbitration, one cycle.
 
-    Mirrors the tail of ``Processor._step_plan`` exactly, with the
-    trace's counter batching.  Leaves ``nxt`` bound for the caller's
-    exit checks.
+    Mirrors the interpretive cycle tail exactly, with the trace's
+    counter batching (a step function counts in place and calls
+    ``trace_hook`` between the counters and the TPC write, as
+    ``Processor._step_interp`` does).  Leaves ``nxt`` bound for the
+    caller's exit checks.
     """
     task = ctx.task
-    w.emit("cyc += 1")
-    if executed:
-        w.emit("ins += 1")
+    if ctx.step:
+        done, task_done = (
+            ("instructions", "task_instructions") if executed
+            else ("held_cycles", "task_held")
+        )
+        w.emit("counters.cycles += 1")
+        w.emit(f"counters.task_cycles[{task}] += 1")
+        w.emit(f"counters.{done} += 1")
+        w.emit(f"counters.{task_done}[{task}] += 1")
+        w.emit("if cpu.trace_hook is not None:")
+        w.indent()
+        w.emit(f"cpu.trace_hook(cpu.now, {ctx.entry}, INST, {not executed})")
+        w.dedent()
     else:
-        w.emit("hld += 1")
+        w.emit("cyc += 1")
+        w.emit("ins += 1" if executed else "hld += 1")
     if next_expr is not None:
         w.emit(f"tpc[{task}] = {next_expr}")
     if blocked:
-        w.emit("blk += 1")
+        w.emit("counters.blocks += 1" if ctx.step else "blk += 1")
         w.emit(f"pipe.ready &= ~{ctx.rbit}")
         w.emit("nxt = pipe.best_task")
     else:
@@ -667,19 +767,25 @@ def _emit_tail_general(
         w.dedent()
     w.emit("pipe.ready &= ~(1 << nxt)")
     w.emit("pipe.this_task = nxt")
-    w.emit("tp = tpc[nxt]")
+    if ctx.step:
+        w.emit(f"if nxt != {task}:")
+        w.indent()
+        w.emit("counters.task_switches += 1")
+        w.dedent()
+    w.emit(f"{ctx.tp} = tpc[nxt]")
     if ctx.devices:
         # Devices read machine.now (pre-increment, as on the plan path).
-        w.emit("cpu.now = now_")
-        w.emit("g = pub")
-        w.emit("pub = nxt")
+        if not ctx.step:
+            w.emit("cpu.now = now_")
+        w.emit(f"g = {ctx.pub}")
+        w.emit(f"{ctx.pub} = nxt")
         for j, device in enumerate(ctx.devices):
             if device.task is None:
                 w.emit(f"D{j}.tick(cpu, granted=False)")
             else:
                 w.emit(f"D{j}.tick(cpu, granted=(g == {device.task}))")
     else:
-        w.emit("pub = nxt")
+        w.emit(f"{ctx.pub} = nxt")
     w.emit("if memory._fast_in_flight:")
     w.indent()
     w.emit("memory.tick()")
@@ -696,7 +802,7 @@ def _emit_tail_general(
     w.indent()
     w.emit("ifu.now += 1")
     w.dedent()
-    w.emit("now_ += 1")
+    w.emit(f"{ctx.now} += 1")
     w.emit("req = pipe.lines | pipe.ready")
     w.emit("best = req.bit_length() - 1 if req else 0")
     w.emit("pipe.best_task = best")
@@ -750,20 +856,23 @@ def _emit_step(
         w.indent()
         w.emit("break")
         w.dedent()
-        w.emit("ch += 1")
+        w.emit(f"{ctx.ch} += 1")
         # Commit before the timeout check: the interpreter commits at
         # the top of every attempt, so a timeout raise must observe the
         # predecessor's write already landed.
         _emit_commit(w, ctx)
-        w.emit(f"if ch > {ctx.hold_limit}:")
+        w.emit(f"if {ctx.ch} > {ctx.hold_limit}:")
         w.indent()
-        w.emit("cpu.now = now_")
-        w.emit("cpu._consecutive_holds = ch")
+        if not ctx.step:
+            w.emit("cpu.now = now_")
+            w.emit("cpu._consecutive_holds = ch")
         if fast:
             w.emit("memory.now = mnow")
         w.emit(f"raise cpu._hold_timeout({task}, {pc}, hc_)")
         w.dedent()
-        if len(conds) == 1:
+        if ctx.step:
+            w.emit("counters.hold_causes[hc_ - 1] += 1")
+        elif len(conds) == 1:
             only = conds[0][1]
             w.emit(f"h{only} += 1")
         else:
@@ -772,19 +881,19 @@ def _emit_step(
             w.emit("else: h3 += 1")
         if fast:
             _emit_tail_fast(w, ctx, next_expr=None, executed=False)
-            w.emit("if cyc >= budget:")
-            w.indent()
-            w.emit("return")
-            w.dedent()
         else:
             _emit_tail_general(
                 w, ctx, next_expr=None, blocked=False, executed=False
             )
-            w.emit(f"if nxt != {task}:")
-            w.indent()
-            w.emit("sw += 1")
-            w.emit("return")
-            w.dedent()
+        if ctx.step:
+            w.emit("return")  # a step function runs one cycle, held or not
+        else:
+            if not fast:
+                w.emit(f"if nxt != {task}:")
+                w.indent()
+                w.emit("sw += 1")
+                w.emit("return")
+                w.dedent()
             w.emit("if cyc >= budget:")
             w.indent()
             w.emit("return")
@@ -796,7 +905,7 @@ def _emit_step(
             w.emit(f"if cyc + {ctx.n_steps - i} > budget: return")
             w.dedent()  # if held
     if not (fast and ctx.loop and not ctx.has_holds):
-        w.emit("ch = 0")
+        w.emit(f"{ctx.ch} = 0")
 
     # --- which operands this step actually reads.
     stack_op = plan.block and task == EMULATOR_TASK
@@ -1156,6 +1265,7 @@ def _emit_step(
         _emit_tail_general(
             w, ctx, next_expr=next_expr, blocked=blocked, executed=True
         )
+    if not (fast or ctx.step):
         w.emit(f"if nxt != {task}:")
         w.indent()
         w.emit("sw += 1")
@@ -1219,6 +1329,9 @@ class TraceCache:
         self.traces: Dict[Tuple[int, int], object] = {}
         #: (task, entry_pc) -> generated source, for tests and debugging.
         self.sources: Dict[Tuple[int, int], str] = {}
+        #: (task, pc) -> the slot's step function ``step(cpu)``: the
+        #: plan tier's cycle (see :meth:`step_fn`).
+        self.steps: Dict[Tuple[int, int], Callable] = {}
         #: (task, pc) -> hot back-edge count.
         self.counts: Dict[Tuple[int, int], int] = {}
         #: Keys that recorded too short or failed codegen: never retried
@@ -1230,6 +1343,8 @@ class TraceCache:
         self.compiled = 0
         self.invalidations = 0
         self.entries = 0
+        #: Simulated cycles run inside traces.
+        self.cycles = 0
         #: Codegen failures as (key, repr(exc)); parity tests assert
         #: this stays empty on the gold workloads.
         self.failures: List[Tuple[Tuple[int, int], str]] = []
@@ -1242,7 +1357,8 @@ class TraceCache:
     # ------------------------------------------------------------------
 
     def invalidate_all(self) -> None:
-        """Drop every trace, count, blacklist entry and recording.
+        """Drop every trace, step function, count, blacklist entry and
+        recording.
 
         Called from the ``MicrostoreImage`` write choke point (so every
         IM write path invalidates), from ``restore()``, from
@@ -1252,12 +1368,32 @@ class TraceCache:
         if self.traces or self.counts or self.blacklist or self._rec_key:
             self.invalidations += 1
         self.traces.clear()
+        self.steps.clear()
         self.sources.clear()
         self.counts.clear()
         self.blacklist.clear()
         self._rec_key = None
         self._rec_steps = None
         self._rec_pcs.clear()
+
+    def step_fn(self, task: int, pc: int) -> Callable:
+        """The step function for *task* at IM slot *pc*, compiled now.
+
+        It is the trace emitter run over this one step, in the general
+        (multi-task) tail.  A slot the emitter cannot express (see
+        :func:`plan_traceable`) gets the interpretive cycle instead,
+        which raises the exact error or halts the machine.
+        """
+        cpu = self.cpu
+        plan = cpu._plans[pc]
+        if plan is None:
+            plan = cpu._get_plan(pc, task)
+        if plan_traceable(plan, task, cpu):
+            fn = compile_step(cpu, task, pc, plan)
+        else:
+            fn = type(cpu)._step_interp
+        self.steps[(task, pc)] = fn
+        return fn
 
     # ------------------------------------------------------------------
     # recording
@@ -1334,6 +1470,7 @@ class TraceCache:
             "traces": len(self.traces),
             "compiled": self.compiled,
             "entries": self.entries,
+            "cycles": self.cycles,
             "invalidations": self.invalidations,
             "blacklisted": len(self.blacklist),
             "recording": self._rec_key is not None,

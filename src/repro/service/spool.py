@@ -90,11 +90,23 @@ def spool_decode(data: bytes) -> str:
 
 
 def spool_write(path: str, payload: str) -> None:
-    """Write a checksummed spool file (atomic rename within the dir)."""
+    """Write a checksummed spool file, durably and atomically.
+
+    The temporary file is fsynced before the rename replaces *path*,
+    and the directory after it, so a host crash leaves either the old
+    file or the complete new one -- never a renamed but empty file.
+    """
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
         f.write(spool_encode(payload))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def spool_read(path: str) -> str:

@@ -14,6 +14,7 @@ neither cache ever goes stale.
 
 import dataclasses
 import pathlib
+import random
 import subprocess
 import sys
 
@@ -23,11 +24,13 @@ from hypothesis import strategies as st
 
 from repro import Assembler, Processor
 from repro.config import INTERPRETED, PLAN_ONLY, PRODUCTION, MachineConfig
+from repro.core.functions import EXTB_SELECTORS, FF, JUMP_PAGE_BASE, MEMBASE_SMALL_BASE
 from repro.core.microword import (
     ASel,
     BSel,
     LoadControl,
     MicroInstruction,
+    Misc,
     NextControl,
     NextType,
 )
@@ -38,6 +41,7 @@ from repro.graphics.bitmap import Bitmap
 from repro.io.disk import DiskController, DiskGeometry, disk_microcode
 from repro.io.display import DisplayController, display_fast_microcode
 from repro.perf.workloads import ALL_WORKLOADS
+from repro.state import MachineState
 from repro.supervise import architectural_json
 from repro.types import MUNCH_WORDS
 
@@ -517,6 +521,164 @@ def test_im_write_invalidates_hot_trace():
 
 
 # --------------------------------------------------------------------------
+# Arbitrary microwords: the plan tier's step functions vs the reference
+# --------------------------------------------------------------------------
+
+#: Small storage and cache keep a full canonical snapshot per step cheap;
+#: the short hold limit lets MEMDATA/NEXTMACRO holds reach the watchdog.
+_SMALL = dict(storage_words=1 << 10, cache_lines=16, hold_limit=3)
+
+#: FF functions that run without an attached device, IFU operand or a
+#: cross-page target, so a ring built from them keeps running.
+_RUNNABLE_FFS = sorted(
+    int(ff) for ff in FF
+    if ff not in (FF.INPUT, FF.OUTPUT, FF.OUTPUT_MD, FF.IOFETCH, FF.IOSTORE,
+                  FF.BREAKPOINT, FF.A_IFUDATA)
+    and ff not in EXTB_SELECTORS
+)
+_RUNNABLE_ASELS = (ASel.RM, ASel.T, ASel.RM_FETCH, ASel.RM_STORE, ASel.T_FETCH, ASel.T_STORE)
+_RUNNABLE_MISC = (Misc.RETURN, Misc.DISPATCH8, Misc.RETURN_CALL, Misc.IDLE, Misc.NOTIFY)
+
+#: An odd multiplier: a bijection on 34-bit words that spreads the small
+#: integers Hypothesis favours across every field.
+_SPREAD = 0x2545F4914F6CDD1D
+
+
+def _microword(bits: int, runnable: bool) -> MicroInstruction:
+    """The 34-bit microword *bits* (bit 22, the top LoadControl bit, is
+    cleared: codes 4..7 are reserved and do not decode).
+
+    A *runnable* word keeps its bits but is steered to keep running:
+    B from RM, T or Q (so FF is a function), no IFUDATA/MEMDATA A
+    source, FF bytes above the small-constant banks mapped onto
+    functions that need no device, and no MISC kind that needs the IFU
+    or a cross-page target.  The others cover every encodable word:
+    bad selector/FF pairings, unimplemented FFs, every NextControl kind.
+    """
+    bits = (bits * _SPREAD) & ((1 << 34) - 1)
+    inst = MicroInstruction.decode(bits & ~(1 << 22))
+    if not runnable:
+        return inst
+    nc = inst.nc
+    if NextControl.kind(nc) == NextType.MISC:
+        misc = _RUNNABLE_MISC[(nc >> 3) % len(_RUNNABLE_MISC)]
+        nc = NextControl.pack(NextType.MISC, (int(misc) << 3) | (nc & 7))
+    ff = inst.ff
+    if ff >= JUMP_PAGE_BASE or 0 < ff < MEMBASE_SMALL_BASE:
+        ff = _RUNNABLE_FFS[ff % len(_RUNNABLE_FFS)]
+    return dataclasses.replace(
+        inst,
+        bsel=(BSel.RM, BSel.T, BSel.Q)[int(inst.bsel) % 3],
+        asel=_RUNNABLE_ASELS[int(inst.asel) % len(_RUNNABLE_ASELS)],
+        ff=ff,
+        nc=nc,
+    )
+
+
+_ring_words = st.lists(
+    st.builds(_microword, st.integers(0, (1 << 34) - 1), st.sampled_from([True, True, False])),
+    min_size=1, max_size=8,
+)
+
+
+def _snapshot_json(cpu: Processor) -> str:
+    """The full canonical snapshot, less the tier switches."""
+    data = dict(cpu.snapshot().data)
+    data["config"] = dict(data["config"], plan_cache_enabled=None, trace_cache_enabled=None)
+    return MachineState(data).to_json()
+
+
+def _lockstep(words, seed: int = 0, steps: int = 16) -> int:
+    """Single-step PLAN_ONLY and INTERPRETED twins over page 0 tiled with
+    *words*, registers filled from *seed*; returns how many executed
+    cycles ran an FF function."""
+    pair = []
+    for base in (PLAN_ONLY, INTERPRETED):
+        cpu = Processor(dataclasses.replace(base, **_SMALL))
+        for slot in range(cpu.config.page_size):
+            cpu.im[slot] = words[slot % len(words)]
+        rng = random.Random(seed)
+        regs = cpu.regs
+        regs.rm[:] = [rng.getrandbits(16) for _ in regs.rm]
+        regs.t[:] = [rng.getrandbits(16) for _ in regs.t]
+        regs.q, regs.count, regs.shiftctl = (rng.getrandbits(16) for _ in range(3))
+        pair.append(cpu)
+    plan, interp = pair
+    ff_cycles = 0
+    for _ in range(steps):
+        inst = interp.im[interp.this_pc]
+        executed = interp.counters.instructions
+        outcomes = []
+        for cpu in pair:
+            try:
+                cpu.step()
+                outcomes.append(None)
+            except Exception as exc:  # either tier may raise; both must agree
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+        if outcomes[0] is not None:
+            return ff_cycles
+        assert _snapshot_json(plan) == _snapshot_json(interp)
+        if interp.counters.instructions != executed and not inst.bsel.is_constant and inst.ff:
+            ff_cycles += 1
+    return ff_cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ring_words, st.integers(0, 2**32))
+def test_arbitrary_microwords_step_identically(words, seed):
+    """Any microword, stepped by the plan tier, matches the reference:
+    same full snapshot after every cycle, or the same error."""
+    _lockstep(words, seed)
+
+
+@pytest.mark.slow
+@settings(max_examples=400, deadline=None)
+@given(_ring_words, st.integers(0, 2**32))
+def test_arbitrary_microwords_step_identically_long(words, seed):
+    _lockstep(words, seed, steps=48)
+
+
+@pytest.mark.parametrize("field", ["ff", "nc"])
+def test_every_ff_and_next_code_steps_identically(field):
+    """Each of the 256 FF codes as a function (B from RM, or EXTB for
+    the EXTB selectors), and each of the 256 NextControl codes, runs
+    three lockstep cycles under two register seeds: no FF or NEXT kind
+    is left to chance."""
+    for code in range(256):
+        if field == "ff":
+            fields = dict(
+                bsel=BSel.EXTB if code in EXTB_SELECTORS else BSel.RM,
+                ff=code,
+                nc=NextControl.pack(NextType.GOTO, code & 0x3F),
+            )
+        else:
+            fields = dict(bsel=BSel.RM, ff=int(FF.NOP), nc=code)
+        word = MicroInstruction(
+            rsel=code & 0xF,
+            aluop=code >> 4,
+            lc=LoadControl(code & 3),
+            asel=_RUNNABLE_ASELS[code % len(_RUNNABLE_ASELS)],
+            **fields,
+        )
+        for seed in (code, code + 256):
+            _lockstep([word], seed=seed, steps=3)
+
+
+def test_arbitrary_microword_property_is_not_vacuous():
+    """At least half the drawn rings execute an FF function."""
+    ff_cycles = []
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(_ring_words, st.integers(0, 2**32))
+    def probe(words, seed):
+        ff_cycles.append(_lockstep(words, seed))
+
+    probe()
+    assert sum(1 for n in ff_cycles if n) * 2 >= len(ff_cycles)
+
+
+# --------------------------------------------------------------------------
 # SHIFTCTL decodes exactly once per shift instruction, on all paths
 # --------------------------------------------------------------------------
 
@@ -525,11 +687,13 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
     """All three shift FFs decode the live SHIFTCTL exactly once.
 
     ``_result_override`` used to decode it up to three times per
-    instruction; both it and the plan fast path now share a single
-    decode, which this test pins by counting calls through the
-    processor's module-level ``ShiftControl`` reference.
+    instruction; it and the generated step and trace functions each
+    decode once, which this test pins by counting calls through the
+    module-level ``ShiftControl`` reference of the interpreter and of
+    the emitter.
     """
     import repro.core.processor as processor_mod
+    import repro.core.tracecache as tracecache_mod
     from repro.core.functions import FF
     from repro.core.shifter import ShiftControl, field_control, shift, shift_masked
 
@@ -542,6 +706,7 @@ def test_shiftctl_decodes_once_per_shift(label, config, monkeypatch):
             return ShiftControl.decode(value)
 
     monkeypatch.setattr(processor_mod, "ShiftControl", CountingShiftControl)
+    monkeypatch.setattr(tracecache_mod, "ShiftControl", CountingShiftControl)
 
     control = field_control(4, 6)
     word, fill = 0x0A50, 0x9C01

@@ -132,6 +132,40 @@ def test_spool_envelope_roundtrip_and_refusals():
             spool_decode(bytes(flipped))
 
 
+def test_spool_write_fsyncs_file_then_renames_then_fsyncs_directory(
+    tmp_path, monkeypatch
+):
+    """A spool write is durable: fsync(tmp), rename, fsync(directory)."""
+    import os
+    import stat
+
+    from repro.service.spool import spool_read, spool_write
+
+    calls = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        kind = "dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "file"
+        calls.append(("fsync", kind))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    path = str(tmp_path / "s1.spool")
+    spool_write(path, "payload")
+    assert calls == [
+        ("fsync", "file"),
+        ("replace", "s1.spool.tmp", "s1.spool"),
+        ("fsync", "dir"),
+    ]
+    assert spool_read(path) == "payload"
+    assert not os.path.exists(path + ".tmp")
+
+
 def test_session_envelope_refusals_cover_corruption():
     """Session.resume refuses what the spool layer might let through."""
     envelope = Session.build("mesa_loop_sum").suspend()

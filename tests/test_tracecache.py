@@ -10,8 +10,10 @@ easy to reach deliberately.
 
 import pytest
 
+import repro.core.tracecache as tracecache_mod
 from repro import Processor
-from repro.config import PRODUCTION
+from repro.config import INTERPRETED, PRODUCTION
+from repro.core.functions import FF
 from repro.core.microword import (
     BSel,
     LoadControl,
@@ -26,6 +28,7 @@ from repro.core.tracecache import (
     TraceCache,
 )
 from repro.io.display import DisplayController
+from repro.perf.workloads import mesa_loop_sum
 
 
 def _goto(dest: int, load: int = 0, ff: int = 0) -> MicroInstruction:
@@ -99,16 +102,110 @@ def test_overlong_recording_compiles_straight_prefix(monkeypatch):
     assert cache.sources[(0, 0)].count("# -- step") == 12
 
 
-def test_compile_memo_shares_code_not_closures():
-    """Twin machines share compiled code objects, never closures."""
+def test_compile_memo_shares_code_not_closures(monkeypatch):
+    """Twin machines share compiled code objects, never closures: a
+    second fresh machine running the same workload compiles nothing."""
+    compiled = []
+
+    def counting_compile(*args):
+        compiled.append(args[1])
+        return compile(*args)
+
+    monkeypatch.setattr(tracecache_mod, "compile", counting_compile, raising=False)
+    monkeypatch.setattr(tracecache_mod, "_COMPILE_MEMO", {})
     a = _ring_machine(8)
     b = _ring_machine(8)
     a.run(max_cycles=200)
+    first = mesa_loop_sum(config=PRODUCTION)
+    first.run()
+    assert compiled
+    del compiled[:]
     b.run(max_cycles=200)
+    second = mesa_loop_sum(config=PRODUCTION)
+    second.run()
+    assert compiled == []
     fn_a = a._traces.traces[(0, 0)]
     fn_b = b._traces.traces[(0, 0)]
     assert fn_a is not fn_b
     assert fn_a.__code__ is fn_b.__code__
+    steps = first.ctx.cpu._traces.steps
+    assert steps and steps.keys() == second.ctx.cpu._traces.steps.keys()
+    for key, fn in steps.items():
+        twin = second.ctx.cpu._traces.steps[key]
+        assert twin.__code__ is fn.__code__
+        assert twin is not fn or fn is Processor._step_interp
+
+
+def test_compile_memo_evicts_oldest_instead_of_wiping(monkeypatch):
+    monkeypatch.setattr(tracecache_mod, "_COMPILE_MEMO", {})
+    monkeypatch.setattr(tracecache_mod, "_COMPILE_MEMO_LIMIT", 3)
+    for n in range(5):
+        tracecache_mod._compiled(n, "<memo test>", "f()", 0, lambda: f"    return {n}\n")
+    assert list(tracecache_mod._COMPILE_MEMO) == [2, 3, 4]
+
+
+# --------------------------------------------------------------------------
+# step functions: the plan tier's cycle
+# --------------------------------------------------------------------------
+
+def test_plan_steps_run_step_functions_hooked_or_not(monkeypatch):
+    """Every plain and hooked plan-tier cycle runs the slot's step
+    function; none falls back to the interpretive cycle."""
+    cpu = _ring_machine(8)
+    seen = []
+    cpu.run(max_cycles=5)
+    monkeypatch.setattr(Processor, "_step_interp", None)
+    cpu.trace_hook = lambda now, pc, inst, held: seen.append(
+        (now, pc, inst, held, cpu.counters.cycles, cpu.pipe.tpc[0])
+    )
+    for _ in range(8):
+        cpu.step()
+    assert [pc for _, pc, _, _, _, _ in seen] == [5, 6, 7, 0, 1, 2, 3, 4]
+    for now, pc, inst, held, cycles, tpc in seen:
+        # Counters already count the cycle; TPC still holds its pc.
+        assert cycles == now + 1 and tpc == pc and not held
+        assert inst is cpu.im[pc]
+    assert set(cpu._traces.steps) == {(0, pc) for pc in range(8)}
+
+
+def test_untraceable_slot_steps_interpretively():
+    cpu = _ring_machine(2)
+    cpu.im[1] = MicroInstruction(
+        bsel=BSel.RM, ff=int(FF.HALT), nc=NextControl.pack(NextType.GOTO, 0)
+    )
+    cpu.step()
+    cpu.step()
+    assert cpu.halted
+    assert cpu._traces.steps[(0, 1)] is Processor._step_interp
+    assert cpu._traces.steps[(0, 0)] is not Processor._step_interp
+
+
+@pytest.mark.parametrize("event", ["im", "restore", "attach", "alufm"])
+def test_invalidation_points_drop_step_functions(event):
+    cpu = _ring_machine(8)
+    snap = cpu.snapshot()
+    cpu.run(max_cycles=20)
+    assert cpu._traces.steps
+    if event == "im":
+        cpu.im[3] = _goto(4)
+    elif event == "restore":
+        cpu.restore(snap)
+    elif event == "attach":
+        cpu.attach_device(DisplayController(munch_interval_cycles=8))
+    else:
+        cpu._apply_ff(cpu.im[0], 0, int(FF.ALUFM_WRITE), 0, 0, 0, 0)
+    assert not cpu._traces.steps
+
+
+def test_trace_cycles_count_cycles_run_inside_traces():
+    """E1's share of cycles inside traces, with parity unchanged."""
+    traced = mesa_loop_sum(config=PRODUCTION)
+    cycles = traced.run()
+    reference = mesa_loop_sum(config=INTERPRETED)
+    assert reference.run() == cycles
+    stats = traced.ctx.cpu._traces.stats()
+    assert 0 < stats["cycles"] <= traced.ctx.cpu.counters.cycles
+    assert stats["entries"] > 0
 
 
 # --------------------------------------------------------------------------
